@@ -17,7 +17,6 @@ from .network import (
     Model,
     build_default_model,
     build_model,
-    forward_inference,
     forward_with_trace,
     load_weights,
     save_weights,
@@ -44,7 +43,6 @@ __all__ = [
     "Model",
     "build_default_model",
     "build_model",
-    "forward_inference",
     "forward_with_trace",
     "load_weights",
     "save_weights",

@@ -19,7 +19,7 @@ import numpy as np
 from .bilrp import JointRelevance, bilrp
 from .errors import FormatError
 from .lrp import LRPRuleConfig
-from .network import Model, forward_inference
+from .network import Model, forward_with_trace
 
 ATLAS_MAGIC = b"RGTA"
 ATLAS_VERSION = 1
@@ -55,11 +55,11 @@ def build_index(model: Model, samples, layer_indices, metric="euclidean") -> lis
     ids = []
     labels = []
     for s in samples:
-        _, acts, _ = forward_inference(model, s.image)
+        _, trace = forward_with_trace(model, s.image)
         for li in layer_indices:
-            if not 0 <= li < len(acts):
-                raise IndexError(f"layer index {li} out of range (0..{len(acts) - 1})")
-            per_layer[li].append(acts[li].reshape(-1).astype(np.float32))
+            if not 0 <= li < len(trace):
+                raise IndexError(f"layer index {li} out of range (0..{len(trace) - 1})")
+            per_layer[li].append(trace.tensors[li].data.reshape(-1).astype(np.float32))
         ids.append(s.sample_id)
         labels.append(s.label)
     ids = np.asarray(ids, dtype=np.uint32)
@@ -109,8 +109,8 @@ def query_knn_vector(index: AtlasIndex, q: np.ndarray, k: int) -> list:
 
 def query_knn(index: AtlasIndex, x: np.ndarray, model: Model, k: int) -> list:
     """k nearest atlas samples to an input, embedded at the index's layer."""
-    _, acts, _ = forward_inference(model, x)
-    return query_knn_vector(index, acts[index.layer_index], k)
+    _, trace = forward_with_trace(model, x)
+    return query_knn_vector(index, trace.tensors[index.layer_index].data, k)
 
 
 def credibility(neighbors, predicted_label: int) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lrp import LRPRuleConfig, relevance_stack
-from .network import Model, forward_inference
+from .network import Model, forward_with_trace
 
 
 @dataclass
@@ -51,10 +51,10 @@ class JointRelevance:
 
 def embed(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
     """Flattened activation at a trace position (0 = the input itself)."""
-    _, acts, _ = forward_inference(model, x)
-    if not 0 <= layer_index < len(acts):
-        raise IndexError(f"layer index {layer_index} out of range (0..{len(acts) - 1})")
-    return acts[layer_index].reshape(-1).copy()
+    _, trace = forward_with_trace(model, x)
+    if not 0 <= layer_index < len(trace):
+        raise IndexError(f"layer index {layer_index} out of range (0..{len(trace) - 1})")
+    return trace.tensors[layer_index].data.reshape(-1).copy()
 
 
 def similarity(model: Model, a: np.ndarray, b: np.ndarray, layer_index: int) -> float:
@@ -112,13 +112,13 @@ def bilrp(
     _, h, w = model.input_shape
     if grid < 1 or h % grid or w % grid:
         raise ConfigError(f"grid {grid} must divide input size {h}x{w}")
-    _, acts_a, caches_a = forward_inference(model, a)
-    _, acts_b, caches_b = forward_inference(model, b)
-    if not 0 <= layer_index < len(acts_a):
+    _, trace_a = forward_with_trace(model, a)
+    _, trace_b = forward_with_trace(model, b)
+    if not 0 <= layer_index < len(trace_a):
         raise IndexError(f"layer index {layer_index} out of range")
-    feat_shape = acts_a[layer_index].shape
-    ea = acts_a[layer_index].reshape(-1)
-    eb = acts_b[layer_index].reshape(-1)
+    feat_shape = trace_a.tensors[layer_index].data.shape
+    ea = trace_a.tensors[layer_index].data.reshape(-1)
+    eb = trace_b.tensors[layer_index].data.reshape(-1)
     if unit_cap is not None and len(ea) > unit_cap and not allow_truncation:
         raise ConfigError(
             f"embedding has {len(ea)} units, above the cap {unit_cap}; "
@@ -132,11 +132,11 @@ def bilrp(
     for lo in range(0, len(units), chunk):
         sel = units[lo : lo + chunk]
         pooled = []
-        for emb, acts, caches in ((ea, acts_a, caches_a), (eb, acts_b, caches_b)):
+        for emb, trace in ((ea, trace_a), (eb, trace_b)):
             seeds = np.zeros((len(sel),) + feat_shape, dtype=emb.dtype)
             flat = seeds.reshape(len(sel), -1)
             flat[np.arange(len(sel)), sel] = emb[sel]
-            rel = relevance_stack(model, acts, caches, layer_index, seeds, rules)
+            rel = relevance_stack(model, trace, layer_index, seeds, rules)
             pooled.append(_pool_to_grid(rel, grid).astype(np.float64))
         # plain-loop einsum keeps the unit-accumulation order identical for
         # (a,b) and (b,a), making transpose symmetry exact

@@ -19,12 +19,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .atlas import build_index, credibility, explain_pair, query_knn, save_index
+from .atlas import build_index, credibility, explain_pair, query_knn
 from .bilrp import export_json
 from .data import GeneratorConfig, generate, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericalError, ScoreError, UsageError
 from .lrp import LRPRuleConfig, input_relevance, render_heatmap
-from .network import build_default_model, forward_inference, load_weights, save_weights
+from .network import build_default_model, forward_with_trace, load_weights, save_weights
 from .training import (
     METRICS_FLOOR,
     LossConfig,
@@ -37,31 +37,6 @@ from .training import (
 
 VAL_ID_OFFSET = 1_000_000
 
-_GENERATOR_KEYS = {
-    "seed", "height", "width", "samples_per_class", "val_per_class",
-    "lesion_area_min", "lesion_area_max", "texture_contrast",
-    "distractor_rho", "noise_sigma",
-}
-_MODEL_KEYS = {"conv_channels", "dense_units", "dropout_rate"}
-_TRAIN_KEYS = {
-    "seed", "threads", "epochs", "batch_size", "learning_rate",
-    "beta1", "beta2", "adam_eps", "augment",
-}
-_LOSS_KEYS = {"loss", "power", "score_floor", "score_variant", "detach_score"}
-_RULE_KEYS = {"rule", "epsilon", "alpha", "beta"}
-_RETRIEVE_KEYS = {"layer", "k", "grid", "metric", "unit_cap"}
-
-ALLOWED_KEYS = {
-    "generate": _GENERATOR_KEYS,
-    "train": _TRAIN_KEYS | _LOSS_KEYS | _RULE_KEYS | _MODEL_KEYS,
-    "evaluate": _RULE_KEYS | {"score_variant", "score_floor"},
-    "explain": _RULE_KEYS | {"score_variant", "score_floor"},
-    "retrieve": _RETRIEVE_KEYS | _RULE_KEYS,
-    "experiment1": _TRAIN_KEYS | _RULE_KEYS | _MODEL_KEYS | {"score_floor", "score_variant"},
-    "experiment2": _TRAIN_KEYS | _RULE_KEYS | _MODEL_KEYS
-    | {"score_floor", "score_variant", "iterations", "power"},
-}
-
 DEFAULTS = {
     "generate": {
         "height": 64, "width": 64, "samples_per_class": 400, "val_per_class": 100,
@@ -70,7 +45,7 @@ DEFAULTS = {
     },
     "train": {
         "epochs": 20, "batch_size": 16, "learning_rate": 1e-3, "beta1": 0.9,
-        "beta2": 0.999, "adam_eps": 1e-8, "augment": True, "threads": 1,
+        "beta2": 0.999, "adam_eps": 1e-8, "augment": True,
         "loss": "original", "power": 1.0, "score_floor": 1e-3,
         "score_variant": "unnormalized", "detach_score": False,
         "rule": None, "epsilon": 1e-6, "alpha": 1.0, "beta": 0.0,
@@ -108,20 +83,61 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_TYPE_CHECKS = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+# keys whose default does not show the type their values must have
+_KEY_TYPES = {
+    "seed": "an integer", "layer": "an integer", "rule": "a string or null",
+    "conv_channels": "a list of integers",
+}
+
+
+def _expected_type(key: str, default) -> str:
+    if key in _KEY_TYPES:
+        return _KEY_TYPES[key]
+    if isinstance(default, bool):
+        return "true or false"
+    if isinstance(default, int):
+        return "an integer"
+    if isinstance(default, float):
+        return "a number"
+    return "a string"
+
+
 def resolve_config(args, command: str) -> dict:
+    """DEFAULTS[command], updated from --config (a flat JSON object or a
+    manifest to replay) and then from flags. A loaded key must be one of the
+    command's defaults or `seed`, and its value must have the default's type."""
     cfg = dict(DEFAULTS[command])
     if getattr(args, "config", None):
         with open(args.config) as f:
             loaded = json.load(f)
         if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
             loaded = loaded["config"]  # manifest replay
-        unknown = sorted(set(loaded) - ALLOWED_KEYS[command] - {"seed"})
+        if not isinstance(loaded, dict):
+            raise UsageError("a config must be a JSON object")
+        loaded.pop("threads", None)  # a retired key that older manifests record
+        unknown = sorted(set(loaded) - set(cfg) - {"seed"})
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            expected = _expected_type(key, cfg.get(key))
+            if not _TYPE_CHECKS[expected](value):
+                raise UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
         cfg.update(loaded)
     for flag, key in (
         ("seed", "seed"), ("loss", "loss"), ("power", "power"), ("rule", "rule"),
-        ("layer", "layer"), ("k", "k"), ("grid", "grid"), ("threads", "threads"),
+        ("layer", "layer"), ("k", "k"), ("grid", "grid"),
     ):
         v = getattr(args, flag, None)
         if v is not None:
@@ -160,7 +176,6 @@ def train_config_from(cfg: dict, epochs=None) -> TrainConfig:
         adam_eps=float(cfg["adam_eps"]),
         seed=int(cfg["seed"]),
         augment=bool(cfg["augment"]),
-        threads=int(cfg.get("threads", 1)),
     )
 
 
@@ -280,12 +295,12 @@ def cmd_explain(args) -> int:
     sample = _sample_by_id(dataset, args.sample_id)
     model = load_weights(args.weights)
     rules = rules_from_config(cfg)
-    logits, _, _ = forward_inference(model, sample.image)
-    pred = int(np.argmax(logits))
+    logits, trace = forward_with_trace(model, sample.image)
+    pred = int(np.argmax(logits.data))
     artifacts = []
     scores = {}
     for tag, target in (("pred", pred), ("true", sample.label)):
-        rel = input_relevance(model, sample.image, target, rules)
+        rel = input_relevance(model, trace, target, rules)
         name = f"heatmap_{tag}_class{target}.pgm"
         render_heatmap(rel, os.path.join(out, name))
         artifacts += [name, name.replace(".pgm", ".csv")]
@@ -322,12 +337,14 @@ def cmd_retrieve(args) -> int:
     model = load_weights(args.weights)
     rules = rules_from_config(cfg)
     layer = int(cfg["layer"])
+    if not 0 <= layer <= len(model.layers):
+        raise UsageError(f"--layer {layer} out of range: trace positions are 0..{len(model.layers)}")
     k = int(cfg["k"])
     if k > len(atlas_set):
         raise UsageError(f"k={k} exceeds atlas size {len(atlas_set)}")
     index = build_index(model, atlas_set, [layer], metric=cfg["metric"])[0]
     neighbors = query_knn(index, query.image, model, k)
-    pred = int(np.argmax(forward_inference(model, query.image)[0]))
+    pred = int(np.argmax(forward_with_trace(model, query.image)[0].data))
     cred = credibility(neighbors, pred)
     artifacts = []
     by_id = {s.sample_id: s for s in atlas_set}
@@ -477,7 +494,6 @@ def build_parser() -> _Parser:
         sp.add_argument("--config", help="flat JSON config (or a manifest to replay)")
         sp.add_argument("--out", help="output directory (default: current)")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int)
 
     sp = sub.add_parser("generate", help="write synthetic train/val datasets")
     common(sp)

@@ -4,8 +4,7 @@ The graph is built eagerly: every op returns a new :class:`Tensor` that
 remembers its parent tensors and a closure mapping its output gradient to
 parent gradients. :func:`backward` walks the graph once in reverse
 topological order and returns gradients in a dict keyed by tensor, so
-independent graphs over shared parameter tensors never mutate shared state
-and can safely run on worker threads.
+independent graphs over shared parameter tensors never mutate shared state.
 
 Values are float32 by default. Ops preserve the dtype of their inputs, so a
 float64 replica of a model can be pushed through the same code when an
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError
 
 
 class Tensor:
@@ -467,8 +466,3 @@ def grad_for(grads: dict, t: Tensor) -> np.ndarray:
     if g is None:
         return np.zeros_like(t.data)
     return g
-
-
-def check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.isfinite(arr).all():
-        raise NumericalError(f"non-finite values in {what}")

@@ -1,9 +1,7 @@
-"""Raw numpy compute kernels shared by the autodiff ops and the fast
-inference path.
+"""Raw numpy compute kernels shared by the autodiff ops and the stacked
+relevance route.
 
-Everything here is a pure function of ndarrays. Keeping a single set of
-kernels guarantees the graph-building forward pass and the traceless
-inference forward produce bit-identical numbers.
+Everything here is a pure function of ndarrays.
 
 Convolution is implemented as patch extraction (im2col) followed by a
 matmul; the k*k Python loop touches whole strided slices at a time, so the
@@ -125,13 +123,6 @@ def pool_gather(
             mask = idx == i * window + j
             out += x[..., i : i + stride * ho : stride, j : j + stride * wo : stride] * mask
     return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax (max subtraction) over a 1-D logit vector."""
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def stable_sign(z: np.ndarray) -> np.ndarray:

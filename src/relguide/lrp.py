@@ -26,8 +26,8 @@ Two implementations of the same rules exist on purpose:
   derived from it, such as a mask-attention score inside a loss — a
   differentiable function of the model parameters.
 * :func:`relevance_stack` propagates a whole stack of relevance seeds at
-  once on plain ndarrays. It serves batched per-unit decompositions and
-  fast evaluation loops.
+  once on the ndarray values of a traced forward pass, outside the graph.
+  It serves batched per-unit decompositions and fast evaluation loops.
 
 The two paths share their kernels and stabilizer arithmetic and are
 cross-checked in the test suite.
@@ -44,7 +44,7 @@ import numpy as np
 from . import engine, kernels
 from .engine import Tensor
 from .errors import ConfigError, NumericalError
-from .network import ActivationTrace, Model, forward_inference, forward_with_trace
+from .network import ActivationTrace, Model, forward_with_trace
 
 DEFAULT_EPS_SCALE = 1e-6
 
@@ -220,8 +220,7 @@ def _safe_ratio(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 def relevance_stack(
     model: Model,
-    acts: list,
-    caches: list,
+    trace: ActivationTrace,
     start_index: int,
     seeds: np.ndarray,
     rules: Optional[LRPRuleConfig] = None,
@@ -230,24 +229,26 @@ def relevance_stack(
     `start_index`) down to the input. Returns (M, C, H, W).
 
     Relevance propagation is linear in the relevance for fixed activations,
-    so all M maps share one pass over the layers.
+    so all M maps share one pass over the layers. Only the ndarray values
+    of the trace are read; no graph is built.
     """
     rules = rules or LRPRuleConfig()
-    if not 0 <= start_index < len(acts):
+    if not 0 <= start_index < len(trace):
         raise IndexError(f"trace index {start_index} out of range")
     m = seeds.shape[0]
-    if seeds.shape[1:] != acts[start_index].shape:
+    start_shape = trace.tensors[start_index].data.shape
+    if seeds.shape[1:] != start_shape:
         raise ConfigError(
-            f"seed shape {seeds.shape[1:]} does not match trace entry {acts[start_index].shape}"
+            f"seed shape {seeds.shape[1:]} does not match trace entry {start_shape}"
         )
     r = seeds
     for li in reversed(range(start_index)):
         spec = model.layers[li]
-        cache = caches[li]
+        cache = trace.caches[li]
         if spec.kind == "conv":
             r = _conv_backshare_stack(r, model, li, cache, rules)
         elif spec.kind == "dense":
-            r = _dense_backshare_stack(r, model, li, cache, acts[li + 1], rules)
+            r = _dense_backshare_stack(r, model, li, cache, trace.tensors[li + 1].data, rules)
         elif spec.kind == "maxpool":
             h, w = cache["in_hw"]
             r = kernels.pool_scatter(r, cache["idx"], h, w, spec.window, spec.stride)
@@ -261,9 +262,10 @@ def relevance_stack(
 
 
 def _conv_backshare_stack(r, model, li, cache, rules):
-    wm = cache["wm"]
-    cols = cache["cols"]
-    zmat = cache["zmat"]
+    wm = cache["wm"].data
+    cols = cache["cols"].data
+    zmat = cache["zmat"].data
+    a = cache["in"].data
     c_in, h, w, k, stride, padding, ho, wo = cache["geom"]
     m = r.shape[0]
     rmat = r.reshape(m, zmat.shape[0], zmat.shape[1])
@@ -277,7 +279,7 @@ def _conv_backshare_stack(r, model, li, cache, rules):
 
     if rules.rule_for("conv") == "epsilon":
         s = _safe_ratio(rmat, _stab_denominator(zmat, rules.epsilon))
-        return backproject(wm, s) * cache["in"][None]
+        return backproject(wm, s) * a[None]
 
     bias = model.params[f"layer{li}.bias"].data
     out = None
@@ -286,12 +288,12 @@ def _conv_backshare_stack(r, model, li, cache, rules):
         s = _safe_ratio(rmat, _stab_denominator(z_part, rules.epsilon, sign))
         term = coef * backproject(w_part, s)
         out = term if out is None else out + term
-    return out * cache["in"][None]
+    return out * a[None]
 
 
 def _dense_backshare_stack(r, model, li, cache, z, rules):
     w = model.params[f"layer{li}.weight"].data
-    a = cache["in"]
+    a = cache["in"].data
     if rules.rule_for("dense") == "epsilon":
         s = _safe_ratio(r, _stab_denominator(z, rules.epsilon))
         return (s @ w) * a[None]
@@ -317,13 +319,14 @@ def _split_parts(w, bias, rules):
 
 
 def input_relevance(
-    model: Model, x: np.ndarray, target_class: int, rules: Optional[LRPRuleConfig] = None
+    model: Model, trace: ActivationTrace, target_class: int, rules: Optional[LRPRuleConfig] = None
 ) -> np.ndarray:
-    """Input relevance via the stacked route (fast, non-differentiable)."""
-    logits, acts, caches = forward_inference(model, x)
+    """Input relevance of a traced forward pass, seeded with the logit of
+    `target_class`, via the stacked route (fast, non-differentiable)."""
+    logits = trace.tensors[-1].data
     seeds = np.zeros((1,) + logits.shape, dtype=logits.dtype)
     seeds[0, target_class] = logits[target_class]
-    return relevance_stack(model, acts, caches, len(model.layers), seeds, rules)[0]
+    return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""Sequential CNN classifier: layer specs, parameter init, forward passes
+"""Sequential CNN classifier: layer specs, parameter init, the forward pass
 with a full activation trace, and binary weight persistence.
 
-Two forward paths exist on purpose. ``forward_with_trace`` builds an
-autodiff graph (used by training and by differentiable relevance
-propagation); ``forward_inference`` runs the same kernels on plain ndarrays
-(used by retrieval, evaluation and batched relevance). Both share
-``relguide.kernels`` so their outputs are bit-identical.
+``forward_with_trace`` is the one forward pass. It builds an autodiff graph,
+which training and differentiable relevance propagation need; inference
+callers (evaluation, explanation, retrieval) read the ndarray values of the
+same trace.
 """
 
 from __future__ import annotations
@@ -57,8 +56,12 @@ class Model:
         params = {k: Tensor(v.data.astype(dtype), dtype=None) for k, v in self.params.items()}
         return Model(list(self.layers), params, self.input_shape, self.n_classes)
 
+    @property
+    def dtype(self):
+        return self.params[self.param_names()[0]].data.dtype
+
     def copy(self) -> "Model":
-        return self.astype(self.params[self.param_names()[0]].data.dtype)
+        return self.astype(self.dtype)
 
 
 @dataclass
@@ -170,7 +173,7 @@ def build_default_model(
 
 
 # ---------------------------------------------------------------------------
-# forward passes
+# forward pass
 # ---------------------------------------------------------------------------
 
 def forward_with_trace(
@@ -183,9 +186,10 @@ def forward_with_trace(
 
     The trace holds graph tensors, so any entry can serve as a relevance
     starting point or as a feature source while staying differentiable.
+    An ndarray input takes the model's parameter dtype.
     """
     if not isinstance(x, Tensor):
-        x = Tensor(x)
+        x = Tensor(x, dtype=model.dtype)
     if x.data.shape != model.input_shape:
         raise DimensionError(f"input {x.data.shape} does not match model {model.input_shape}")
     if training and rng is None:
@@ -217,59 +221,6 @@ def forward_with_trace(
         tensors.append(h)
         caches.append(cache)
     return h, ActivationTrace(tensors, caches)
-
-
-def forward_inference(model: Model, x: np.ndarray):
-    """Traceless ndarray forward pass (dropout off). Returns (logits,
-    activations, caches) with the same cache layout as the graph path."""
-    x = np.ascontiguousarray(x, dtype=model.params[model.param_names()[0]].data.dtype)
-    if x.shape != model.input_shape:
-        raise DimensionError(f"input {x.shape} does not match model {model.input_shape}")
-    h = x
-    acts = [x]
-    caches = []
-    for li, spec in enumerate(model.layers):
-        cache = {"in": h}
-        if spec.kind == "conv":
-            w = model.params[f"layer{li}.weight"].data
-            b = model.params[f"layer{li}.bias"].data
-            c_out, c_in, k, _ = w.shape
-            c, hh, ww = h.shape
-            ho = kernels.conv_out_size(hh, k, spec.stride, spec.padding)
-            wo = kernels.conv_out_size(ww, k, spec.stride, spec.padding)
-            cols = kernels.im2col(h, k, spec.stride, spec.padding)
-            wm = w.reshape(c_out, c_in * k * k)
-            zmat = wm @ cols + b.reshape(c_out, 1)
-            h = zmat.reshape(c_out, ho, wo)
-            cache.update(
-                {"cols": cols, "wm": wm, "zmat": zmat,
-                 "geom": (c, hh, ww, k, spec.stride, spec.padding, ho, wo)}
-            )
-        elif spec.kind == "relu":
-            h = np.where(h > 0, h, 0)
-        elif spec.kind == "maxpool":
-            cache["in_hw"] = h.shape[1:]
-            h, idx = kernels.maxpool_forward(h, spec.window, spec.stride)
-            cache["idx"] = idx
-        elif spec.kind == "dropout":
-            pass
-        elif spec.kind == "flatten":
-            cache["in_shape"] = h.shape
-            h = h.reshape(-1)
-        elif spec.kind == "dense":
-            w = model.params[f"layer{li}.weight"].data
-            b = model.params[f"layer{li}.bias"].data
-            if w.shape[1] != h.shape[0]:
-                raise DimensionError(f"dense weight {w.shape} vs input {h.shape}")
-            h = w @ h + b
-        acts.append(h)
-        caches.append(cache)
-    return h, acts, caches
-
-
-def predict(model: Model, x: np.ndarray) -> int:
-    logits, _, _ = forward_inference(model, x)
-    return int(np.argmax(logits))
 
 
 # ---------------------------------------------------------------------------

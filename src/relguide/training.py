@@ -13,7 +13,6 @@ the lesion raises the loss and pushes relevance into the mask.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -23,8 +22,8 @@ from . import engine
 from .data import LabeledSample, augment
 from .engine import Tensor
 from .errors import ConfigError, NumericalError, ScoreError
-from .lrp import LRPRuleConfig, relevance_graph, relevance_stack
-from .network import Model, forward_inference, forward_with_trace
+from .lrp import LRPRuleConfig, input_relevance, relevance_graph
+from .network import Model, forward_with_trace
 
 _DENOM_GUARD = 1e-30  # keeps 0/0 at 0 so the floor clamp handles it
 
@@ -67,7 +66,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     seed: int = 0
     augment: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -76,8 +74,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 @dataclass
@@ -276,56 +272,31 @@ def train(
     opt = Adam(
         model, train_cfg.learning_rate, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps
     )
-    pool = (
-        concurrent.futures.ThreadPoolExecutor(max_workers=train_cfg.threads)
-        if train_cfg.threads > 1
-        else None
-    )
     records = []
-    try:
-        for epoch in range(1, train_cfg.epochs + 1):
-            order = order_rng.permutation(len(train_set))
-            losses = []
-            for start in range(0, len(order), train_cfg.batch_size):
-                batch_idx = order[start : start + train_cfg.batch_size]
-                jobs = []
-                for i in batch_idx:
-                    s = train_set[int(i)]
-                    if train_cfg.augment:
-                        s = augment(s, aug_rng)
-                    dseed = int(drop_rng.integers(0, 2**63 - 1))
-                    jobs.append((s, dseed))
-                scale = 1.0 / len(jobs)
-                if pool is None:
-                    results = [
-                        _sample_loss_and_grads(model, s, loss_cfg, dseed, scale)
-                        for s, dseed in jobs
-                    ]
+    for epoch in range(1, train_cfg.epochs + 1):
+        order = order_rng.permutation(len(train_set))
+        losses = []
+        for start in range(0, len(order), train_cfg.batch_size):
+            batch_idx = order[start : start + train_cfg.batch_size]
+            scale = 1.0 / len(batch_idx)
+            batch_grads = None
+            for i in batch_idx:  # fixed-order reduction
+                s = train_set[int(i)]
+                if train_cfg.augment:
+                    s = augment(s, aug_rng)
+                dseed = int(drop_rng.integers(0, 2**63 - 1))
+                loss_val, _, named = _sample_loss_and_grads(model, s, loss_cfg, dseed, scale)
+                losses.append(loss_val)
+                if batch_grads is None:
+                    batch_grads = named
                 else:
-                    results = list(
-                        pool.map(
-                            lambda j: _sample_loss_and_grads(model, j[0], loss_cfg, j[1], scale),
-                            jobs,
-                        )
-                    )
-                batch_grads = None
-                for loss_val, _, named in results:  # fixed-order reduction
-                    losses.append(loss_val)
-                    if batch_grads is None:
-                        batch_grads = named
-                    else:
-                        for name, g in named.items():
-                            batch_grads[name] = batch_grads[name] + g
-                opt.step(batch_grads)
-            acc, f1w, s0, s1 = evaluate(
-                model, val_set, loss_cfg.rules, loss_cfg.score_variant, METRICS_FLOOR
-            )
-            records.append(
-                MetricsRecord(epoch, float(np.mean(losses)), acc, f1w, s0, s1)
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    for name, g in named.items():
+                        batch_grads[name] = batch_grads[name] + g
+            opt.step(batch_grads)
+        acc, f1w, s0, s1 = evaluate(
+            model, val_set, loss_cfg.rules, loss_cfg.score_variant, METRICS_FLOOR
+        )
+        records.append(MetricsRecord(epoch, float(np.mean(losses)), acc, f1w, s0, s1))
     return model, records
 
 
@@ -369,15 +340,13 @@ def evaluate(
     trues, preds = [], []
     per_class_scores = {0: [], 1: []}
     for s in dataset:
-        logits, acts, caches = forward_inference(model, s.image)
-        pred = int(np.argmax(logits))
+        logits, trace = forward_with_trace(model, s.image)
+        pred = int(np.argmax(logits.data))
         trues.append(s.label)
         preds.append(pred)
         if not s.lesion_mask.any():
             continue
-        seeds = np.zeros((1,) + logits.shape, dtype=logits.dtype)
-        seeds[0, s.label] = logits[s.label]
-        rel = relevance_stack(model, acts, caches, len(model.layers), seeds, rules)[0]
+        rel = input_relevance(model, trace, s.label, rules)
         score = lesion_relevance_score(
             rel, s.lesion_mask, s.object_mask, score_variant, score_floor
         )

@@ -9,7 +9,7 @@ import numpy as np
 
 from relguide import kernels
 from relguide.engine import Tensor
-from relguide.network import LayerSpec, Model, build_model, forward_inference
+from relguide.network import LayerSpec, Model, build_model, forward_with_trace
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def min_kink_margin(model, x) -> float:
     nondifferentiability: the smallest |pre-activation| at any ReLU and the
     smallest live top-2 gap in any pool window. Finite differences are only
     meaningful when the step stays below this margin."""
-    _, acts, _ = forward_inference(model, x)
+    acts = [t.data for t in forward_with_trace(model, x)[1].tensors]
     margin = np.inf
     for li, spec in enumerate(model.layers):
         if spec.kind == "relu":

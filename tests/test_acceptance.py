@@ -22,7 +22,6 @@ from relguide.lrp import LRPRuleConfig, lrp
 from relguide.network import (
     LayerSpec,
     build_model,
-    forward_inference,
     forward_with_trace,
     load_weights,
     save_weights,
@@ -105,7 +104,7 @@ class TestCriterion2LrpConservation:
             else:
                 model, x = random_dense_net(rng, with_bias=False,
                                             widths=[int(rng.integers(3, 7))])
-            logits, _, _ = forward_inference(model, x)
+            logits = forward_with_trace(model, x)[0].data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-2:
                 continue
@@ -119,7 +118,8 @@ class TestCriterion2LrpConservation:
         while accounted < 8:
             model, x = random_dense_net(rng, with_bias=True,
                                         widths=[int(rng.integers(3, 7))])
-            logits, acts, _ = forward_inference(model, x)
+            logits, trace = forward_with_trace(model, x)
+            logits = logits.data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-2:
                 continue
@@ -129,7 +129,7 @@ class TestCriterion2LrpConservation:
                 if spec.kind != "dense":
                     continue
                 b = model.params[f"layer{li}.bias"].data.astype(np.float64)
-                z = acts[li + 1].astype(np.float64)
+                z = trace.tensors[li + 1].data.astype(np.float64)
                 r_out = rel.relevances[li + 1].astype(np.float64)
                 ok = z != 0
                 absorbed += float((r_out[ok] * b[ok] / z[ok]).sum())
@@ -324,7 +324,7 @@ class TestCriterion8ReductionIdentity:
         ]
         m_orig = build_model(layers, (3, 32, 32), seed=17)
         m_pen = build_model(layers, (3, 32, 32), seed=17)
-        tc = dict(epochs=3, batch_size=8, learning_rate=1e-3, seed=5, threads=1)
+        tc = dict(epochs=3, batch_size=8, learning_rate=1e-3, seed=5)
         train(m_orig, train_set, val_set, LossConfig(mode="original"), TrainConfig(**tc))
         train(
             m_pen, train_set, val_set,

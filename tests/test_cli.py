@@ -3,6 +3,7 @@ recomputation contracts between printed values and written files."""
 
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, read_heatmap_csv
-from relguide.network import forward_inference, load_weights
+from relguide.network import forward_with_trace, load_weights
 from relguide.bilrp import similarity
 from relguide.training import evaluate, lesion_relevance_score, read_metrics_csv
 
@@ -117,6 +118,24 @@ class TestTrain:
         assert records[0].score_class0 > 0.0
         assert records[0].score_class1 > 0.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_manifest_with_retired_threads_key_replays(self, workspace, tmp_path, threads):
+        # manifests written before the training thread pool was removed
+        # record a "threads" key; it is dropped, and the run reproduces
+        manifest = json.loads((workspace / "run" / "manifest.json").read_text())
+        assert "threads" not in manifest["config"]
+        manifest["config"]["threads"] = threads
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "replay"
+        code = run_cli(
+            "train", "--data", str(workspace / "data" / "train.rgtd"),
+            "--val", str(workspace / "data" / "val.rgtd"),
+            "--out", str(out), "--config", str(path),
+        )
+        assert code == 0
+        assert (out / "weights.rgtw").read_bytes() == (workspace / "run" / "weights.rgtw").read_bytes()
+
     def test_zero_epochs_rejected(self, workspace, tmp_path, capsys):
         code = run_cli(
             "train", "--data", str(workspace / "data" / "train.rgtd"),
@@ -184,7 +203,7 @@ class TestExplain:
         model = load_weights(workspace / "run" / "weights.rgtw")
         val = load_dataset(workspace / "data" / "val.rgtd")
         matching = next(
-            s for s in val if int(np.argmax(forward_inference(model, s.image)[0])) == s.label
+            s for s in val if int(np.argmax(forward_with_trace(model, s.image)[0].data)) == s.label
         )
         out = tmp_path / "ex2"
         code = run_cli(
@@ -237,6 +256,19 @@ class TestRetrieve:
             "--query-id", "3", "--out", str(tmp_path / "r"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("layer", ["99", "-1"])
+    def test_layer_out_of_range(self, workspace, tmp_path, capsys, layer):
+        code = run_cli(
+            "retrieve", "--weights", str(workspace / "run" / "weights.rgtw"),
+            "--atlas", str(workspace / "data" / "train.rgtd"),
+            "--query-id", "3", "--layer", layer, "--out", str(tmp_path / "r"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        n_layers = len(load_weights(workspace / "run" / "weights.rgtw").layers)
+        assert err.count("\n") == 1 and f"0..{n_layers}" in err
 
     def test_k_beyond_atlas_size(self, workspace, tmp_path):
         code = run_cli(
@@ -314,6 +346,27 @@ class TestDocumentedDefaults:
         assert "`texture_contrast` (0.35)" in text
         assert "`noise_sigma` (0.05)" in text
 
+    def test_readme_config_table_matches_defaults(self):
+        # every key README's config table lists, with the default it gives
+        table = README.read_text().split("### Config keys", 1)[1].split("\n\n")[1]
+        keys, given = set(), {}
+        for key, note in re.findall(r"`(\w+)` \(([^)]*)\)", table):
+            keys.add(key)
+            # a bare value, a value with an explanation ("1e-6, scale of ..."),
+            # or no default at all ("required")
+            for text in (note, note.split(" ")[0].rstrip(",")):
+                try:
+                    given[key] = json.loads(text)
+                    break
+                except json.JSONDecodeError:
+                    pass
+        assert keys == set().union(*DEFAULTS.values()) | {"seed"}
+        runner_choices = {"epochs", "score_floor", "beta2"}  # pinned above
+        for key, value in given.items():
+            for command, defaults in DEFAULTS.items():
+                if key in defaults and not (key in runner_choices and command.startswith("experiment")):
+                    assert defaults[key] == value, (command, key)
+
     def test_manifest_values_win_over_defaults(self, tmp_path):
         # a manifest records the full resolved config, so one written under
         # other defaults replays with its own values
@@ -326,9 +379,62 @@ class TestDocumentedDefaults:
         assert resolve_config(args, "experiment2") == recorded
 
 
+# the arguments each command needs to reach config resolution, which runs
+# before any file is read
+_REQUIRED_ARGS = {
+    "generate": [],
+    "train": ["--data", "unused.rgtd"],
+    "evaluate": ["--weights", "unused.rgtw", "--data", "unused.rgtd"],
+    "retrieve": ["--weights", "unused.rgtw", "--atlas", "unused.rgtd", "--query-id", "0"],
+    "experiment2": ["--data", "unused.rgtd"],
+}
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command, config, named", [
+        ("train", {"epochs": "x"}, "epochs"),
+        ("train", {"epochs": 1.7}, "epochs"),
+        ("train", {"epochs": True}, "epochs"),
+        ("train", {"augment": "no"}, "augment"),
+        ("train", {"learning_rate": "1e-3"}, "learning_rate"),
+        ("train", {"loss": 1}, "loss"),
+        ("train", {"conv_channels": [16, "32"]}, "conv_channels"),
+        ("train", {"conv_channels": 16}, "conv_channels"),
+        ("train", {"seed": 1.5}, "seed"),
+        ("generate", {"seed": 1, "texture_contrast": True}, "texture_contrast"),
+        ("evaluate", {"rule": 3}, "rule"),
+        ("retrieve", {"layer": "7"}, "layer"),
+        ("experiment2", {"seed": 1, "epochs": 3}, "epochs"),
+        ("train", [1, 2], "JSON object"),
+    ])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, command, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(command, *_REQUIRED_ARGS[command], "--config", str(path),
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_accepted_values(self, tmp_path):
+        # a float key takes an integer, rule takes null, and flags still override
+        config = {"seed": 2, "learning_rate": 1, "rule": None, "conv_channels": [4, 4],
+                  "augment": False, "loss": "penalization"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = build_parser().parse_args(
+            ["train", "--data", "unused.rgtd", "--config", str(path), "--power", "2"]
+        )
+        assert resolve_config(args, "train") == dict(DEFAULTS["train"], **config, power=2.0)
+
+
 class TestExitCodes:
     def test_no_command_usage(self):
         assert run_cli() == 1
+
+    def test_threads_flag_removed(self, tmp_path):
+        assert run_cli("train", "--data", "unused.rgtd", "--seed", "1", "--threads", "2") == 1
 
     def test_bad_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -17,7 +17,7 @@ from relguide.lrp import (
     render_heatmap,
     sensitivity_map,
 )
-from relguide.network import LayerSpec, build_model, forward_inference, forward_with_trace
+from relguide.network import LayerSpec, build_model, forward_with_trace
 
 from helpers import central_diff, check_gradients, params_of, random_conv_net, random_dense_net
 
@@ -88,7 +88,7 @@ class TestConservation:
                 model, x = random_conv_net(rng, with_bias=False)
             else:
                 model, x = random_dense_net(rng, with_bias=False)
-            logits, _, _ = forward_inference(model, x)
+            logits = forward_with_trace(model, x)[0].data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-3:
                 continue
@@ -101,7 +101,8 @@ class TestConservation:
         computed bias-absorbed relevance, layer by layer."""
         for _ in range(6):
             model, x = random_dense_net(rng, widths=[5, 4], with_bias=True)
-            logits, acts, _ = forward_inference(model, x)
+            logits, trace = forward_with_trace(model, x)
+            logits = logits.data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-2:
                 continue
@@ -111,7 +112,7 @@ class TestConservation:
                 if spec.kind != "dense":
                     continue
                 b = model.params[f"layer{li}.bias"].data.astype(np.float64)
-                z = acts[li + 1].astype(np.float64)
+                z = trace.tensors[li + 1].data.astype(np.float64)
                 r_out = rel.relevances[li + 1].astype(np.float64)
                 ok = z != 0
                 absorbed += float((r_out[ok] * b[ok] / z[ok]).sum())
@@ -124,14 +125,14 @@ class TestAlphaBeta:
         for _ in range(6):
             model, x = random_conv_net(rng)
             x = np.abs(x)  # nonnegative input, like images
-            logits, _, _ = forward_inference(model, x)
+            logits = forward_with_trace(model, x)[0].data
             target = int(np.argmax(logits))
             if logits[target] <= 0:
                 # flip the readout so the seed relevance is positive
                 for name in model.param_names():
                     if model.params[name].data.ndim == 2:
                         model.params[name].data *= -1
-                logits, _, _ = forward_inference(model, x)
+                logits = forward_with_trace(model, x)[0].data
                 target = int(np.argmax(logits))
             if logits[target] <= 0:
                 continue
@@ -149,7 +150,7 @@ class TestAlphaBeta:
             w = model.params["layer0.weight"]
             w.data[:] = np.abs(w.data)
             w.data[:, ::2] *= -1  # both signs present in every row
-            logits, _, _ = forward_inference(model, x)
+            logits = forward_with_trace(model, x)[0].data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-2:
                 continue
@@ -162,7 +163,7 @@ class TestAlphaBeta:
         for _ in range(4):
             model, x = random_conv_net(rng, with_bias=False)
             x = np.abs(x)
-            logits, _, _ = forward_inference(model, x)
+            logits = forward_with_trace(model, x)[0].data
             target = int(np.argmax(np.abs(logits)))
             if abs(logits[target]) < 1e-2:
                 continue
@@ -179,19 +180,19 @@ class TestGraphVsStack:
                 logits, trace = forward_with_trace(model, x)
                 target = int(np.argmax(np.abs(logits.data)))
                 rel_graph = relevance_graph(model, trace, target, rules)
-                fast = input_relevance(model, x, target, rules)
+                fast = input_relevance(model, trace, target, rules)
                 np.testing.assert_allclose(
                     fast, rel_graph[0].data, rtol=1e-5, atol=1e-7
                 )
 
     def test_stack_is_linear_in_seeds(self, rng):
         model, x = random_conv_net(rng)
-        logits, acts, caches = forward_inference(model, x)
+        _, trace = forward_with_trace(model, x)
         seeds = np.zeros((3, 2), dtype=np.float32)
         seeds[0, 0] = 1.0
         seeds[1, 1] = 1.0
         seeds[2] = [1.0, 1.0]
-        out = relevance_stack(model, acts, caches, len(model.layers), seeds, EPS)
+        out = relevance_stack(model, trace, len(model.layers), seeds, EPS)
         np.testing.assert_allclose(out[2], out[0] + out[1], rtol=1e-4, atol=1e-6)
 
 
@@ -268,7 +269,7 @@ class TestSensitivity:
         x64 = x.astype(np.float64)
 
         def logit():
-            logits, _, _ = forward_inference(m64, x64)
+            logits = forward_with_trace(m64, x64)[0].data
             return float(logits[0])
 
         fd = central_diff(logit, x64, h=1e-5)

@@ -7,14 +7,13 @@ from relguide.engine import Tensor
 from relguide.errors import ConfigError, DimensionError, FormatError
 from relguide.network import (
     build_default_model,
-    forward_inference,
     forward_with_trace,
     infer_shapes,
     load_weights,
     save_weights,
 )
 
-from helpers import random_conv_net
+from helpers import naive_conv2d, naive_maxpool, random_conv_net
 
 
 class TestBuildDefaultModel:
@@ -68,12 +67,33 @@ class TestForward:
         assert len(trace) == len(model.layers) + 1
 
     def test_trace_matches_traceless_forward(self, rng):
+        """Every trace entry of a float64 model against a forward pass built
+        from the naive layer oracles; a float32 ndarray input takes the
+        model's dtype."""
         model, x = random_conv_net(rng, with_pool=True)
-        logits_graph, trace = forward_with_trace(model, x)
-        logits_plain, acts, _ = forward_inference(model, x)
-        np.testing.assert_array_equal(logits_graph.data, logits_plain)
-        for t, a in zip(trace.tensors, acts):
-            np.testing.assert_array_equal(t.data, a)
+        m64 = model.astype(np.float64)
+        _, trace = forward_with_trace(m64, x)
+        h = x.astype(np.float64)
+        expected = [h]
+        for li, spec in enumerate(m64.layers):
+            if spec.kind in ("conv", "dense"):
+                w = m64.params[f"layer{li}.weight"].data
+                b = m64.params[f"layer{li}.bias"].data
+            if spec.kind == "conv":
+                h = naive_conv2d(h, w, b, spec.stride, spec.padding)
+            elif spec.kind == "relu":
+                h = np.maximum(h, 0)
+            elif spec.kind == "maxpool":
+                h = naive_maxpool(h, spec.window, spec.stride)
+            elif spec.kind == "flatten":
+                h = h.reshape(-1)
+            elif spec.kind == "dense":
+                h = w @ h + b
+            expected.append(h)
+        assert len(trace) == len(expected)
+        for t, e in zip(trace.tensors, expected):
+            assert t.data.dtype == np.float64
+            np.testing.assert_allclose(t.data, e, rtol=1e-10, atol=1e-12)
 
     def test_shape_mismatch(self, rng):
         model, _ = random_conv_net(rng)

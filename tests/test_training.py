@@ -294,18 +294,6 @@ class TestTrain:
             train(_toy_model(), train_set + [bad], val_set,
                   LossConfig(mode="penalization"), TrainConfig(epochs=1, seed=0))
 
-    def test_threads_match_single_thread(self):
-        train_set, val_set = _toy_sets()
-        m1, m2 = _toy_model(8), _toy_model(8)
-        base = dict(epochs=1, batch_size=4, learning_rate=1e-3, seed=6)
-        _, r1 = train(m1, train_set, val_set, LossConfig(), TrainConfig(**base, threads=1))
-        _, r2 = train(m2, train_set, val_set, LossConfig(), TrainConfig(**base, threads=2))
-        for k in m1.param_names():
-            np.testing.assert_allclose(
-                m1.params[k].data, m2.params[k].data, rtol=1e-5, atol=1e-7
-            )
-        assert r1[0].loss == pytest.approx(r2[0].loss, rel=1e-6)
-
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
