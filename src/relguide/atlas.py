@@ -123,15 +123,16 @@ def credibility(neighbors, predicted_label: int) -> float:
 
 def explain_pair(
     model: Model,
-    x: np.ndarray,
+    x,
     atlas_sample,
     layer_index: int,
     rules: Optional[LRPRuleConfig] = None,
     grid: int = 8,
     query_id: int = -1,
-    **bilrp_kw,
 ) -> JointRelevance:
-    """Joint relevance between a query and one retrieved atlas sample."""
+    """Joint relevance between a query and one retrieved atlas sample. `x`
+    is the query input or its :class:`~relguide.bilrp.UnitRelevance`, which
+    a caller explaining several neighbours computes once."""
     return bilrp(
         model,
         x,
@@ -140,7 +141,6 @@ def explain_pair(
         rules=rules,
         grid=grid,
         pair=(query_id, atlas_sample.sample_id),
-        **bilrp_kw,
     )
 
 

@@ -8,10 +8,14 @@ products over units (after pooling each map to a coarse grid) yields a
 joint matrix whose entry (p, q) states how much patch p of the first image
 and patch q of the second jointly contribute to the similarity.
 
-Per-unit maps are propagated as one stacked pass per chunk of units
-(relevance propagation is linear in the relevance), and the accumulation
-order over units is fixed, so results are reproducible and the transpose
-symmetry between (a, b) and (b, a) is exact.
+For fixed activations, relevance propagation from the embedding down to the
+input is a linear map L, and pooling to the grid is linear too. Unit m's
+pooled map is therefore row m of ``P[m, p] = phi_m * (L^T 1_p)[m]``, where
+1_p marks patch p on every channel: one pass of the transposed rules
+(:func:`relguide.lrp.relevance_transpose`) with the g*g patch markers as
+tangents gives P for every unit, exactly. The joint matrix is
+``P_a^T P_b``; its accumulation order over units is fixed, so results are
+reproducible and the transpose symmetry between (a, b) and (b, a) is exact.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .lrp import LRPRuleConfig, relevance_stack
-from .network import Model, forward_with_trace
+from .lrp import LRPRuleConfig, relevance_transpose
+from .network import ActivationTrace, Model, forward_with_trace
 
 
 @dataclass
@@ -32,9 +36,10 @@ class JointRelevance:
     """Joint patch-pair relevance for one input pair at one layer.
 
     `matrix` has shape (g*g, g*g): entry (p, q) links patch p of input A to
-    patch q of input B, patches in row-major grid order. `coverage` is the
-    fraction of |per-unit similarity contribution| retained when the unit
-    cap truncated the embedding."""
+    patch q of input B, patches in row-major grid order. Every embedding
+    unit contributes: `units_used` equals `units_total` and `coverage` (the
+    share of the per-unit similarity magnitude kept) is 1.0, fields kept so
+    the exported format stays stable."""
 
     pair: tuple
     layer_index: int
@@ -47,6 +52,20 @@ class JointRelevance:
 
     def total(self) -> float:
         return float(self.matrix.sum())
+
+
+@dataclass
+class UnitRelevance:
+    """Pooled per-unit relevance of one input at one trace position: row m
+    of `pooled` (units, g*g), float64, is the input relevance seeded with
+    unit m's activation, summed over channels and over each grid patch.
+    `embedding` is the flattened activation."""
+
+    layer_index: int
+    grid: int
+    rules: LRPRuleConfig
+    embedding: np.ndarray
+    pooled: np.ndarray
 
 
 def embed(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
@@ -64,93 +83,75 @@ def similarity(model: Model, a: np.ndarray, b: np.ndarray, layer_index: int) -> 
     return float(np.dot(ea.astype(np.float64), eb.astype(np.float64)))
 
 
-def _pool_to_grid(rel: np.ndarray, grid: int) -> np.ndarray:
-    """(M, C, H, W) input relevance -> (M, g*g) patch sums (channel-summed)."""
-    m, c, h, w = rel.shape
-    r2d = rel.sum(axis=1)
-    return (
-        r2d.reshape(m, grid, h // grid, grid, w // grid)
-        .sum(axis=(2, 4))
-        .reshape(m, grid * grid)
-    )
-
-
-def _select_units(ea: np.ndarray, eb: np.ndarray, unit_cap: Optional[int]):
-    """Units ranked by |phi_m(a)*phi_m(b)|, i.e. by their share of the
-    similarity magnitude; returns (ascending unit indices, coverage)."""
-    contrib = np.abs(ea.astype(np.float64) * eb.astype(np.float64))
-    total = float(contrib.sum())
-    n = len(ea)
-    if unit_cap is None or n <= unit_cap:
-        return np.arange(n), 1.0
-    top = np.argpartition(contrib, n - unit_cap)[n - unit_cap :]
-    kept = float(contrib[top].sum())
-    return np.sort(top), (kept / total if total > 0 else 1.0)
+def unit_relevance(
+    model: Model,
+    trace: ActivationTrace,
+    layer_index: int,
+    rules: Optional[LRPRuleConfig] = None,
+    grid: int = 8,
+) -> UnitRelevance:
+    """Pooled relevance of every unit at `layer_index` for one traced input,
+    from one transposed pass with one tangent per grid patch."""
+    rules = rules or LRPRuleConfig()
+    if len(model.input_shape) != 3:
+        raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
+    c, h, w = model.input_shape
+    if grid < 1 or h % grid or w % grid:
+        raise ConfigError(f"grid {grid} must divide input size {h}x{w}")
+    if not 0 <= layer_index < len(trace):
+        raise IndexError(f"layer index {layer_index} out of range")
+    g2 = grid * grid
+    markers = np.eye(g2).reshape(g2, 1, grid, 1, grid, 1)
+    tangents = np.broadcast_to(markers, (g2, c, grid, h // grid, grid, w // grid))
+    t = relevance_transpose(model, trace, layer_index, tangents.reshape(g2, c, h, w), rules)
+    emb = trace.tensors[layer_index].data.reshape(-1)
+    pooled = np.ascontiguousarray(t.reshape(g2, -1).T) * emb[:, None]
+    return UnitRelevance(layer_index, grid, rules, emb, pooled)
 
 
 def bilrp(
     model: Model,
-    a: np.ndarray,
-    b: np.ndarray,
+    a,
+    b,
     layer_index: int,
     rules: Optional[LRPRuleConfig] = None,
     grid: int = 8,
-    unit_cap: Optional[int] = 512,
-    allow_truncation: bool = True,
-    chunk: int = 64,
     pair: tuple = (-1, -1),
 ) -> JointRelevance:
     """Joint relevance matrix for inputs a and b at a trace position.
 
-    For each embedding unit m, a relevance map seeded with the unit's
-    activation is propagated to each input separately, pooled to a g x g
-    grid, and the outer products are summed over units.
+    For each embedding unit m, the relevance map seeded with the unit's
+    activation is taken to each input separately, pooled to a g x g grid,
+    and the outer products are summed over units. Each of `a` and `b` is an
+    input array or its :class:`UnitRelevance` for this layer, grid and rules
+    (retrieval computes the query's once for all its neighbours).
     """
     rules = rules or LRPRuleConfig()
-    if len(model.input_shape) != 3:
-        raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
-    _, h, w = model.input_shape
-    if grid < 1 or h % grid or w % grid:
-        raise ConfigError(f"grid {grid} must divide input size {h}x{w}")
-    _, trace_a = forward_with_trace(model, a)
-    _, trace_b = forward_with_trace(model, b)
-    if not 0 <= layer_index < len(trace_a):
-        raise IndexError(f"layer index {layer_index} out of range")
-    feat_shape = trace_a.tensors[layer_index].data.shape
-    ea = trace_a.tensors[layer_index].data.reshape(-1)
-    eb = trace_b.tensors[layer_index].data.reshape(-1)
-    if unit_cap is not None and len(ea) > unit_cap and not allow_truncation:
-        raise ConfigError(
-            f"embedding has {len(ea)} units, above the cap {unit_cap}; "
-            "raise unit_cap or allow truncation"
-        )
-    units, coverage = _select_units(ea, eb, unit_cap)
-    sim = float(np.dot(ea.astype(np.float64), eb.astype(np.float64)))
-
-    g2 = grid * grid
-    joint = np.zeros((g2, g2), dtype=np.float64)
-    for lo in range(0, len(units), chunk):
-        sel = units[lo : lo + chunk]
-        pooled = []
-        for emb, trace in ((ea, trace_a), (eb, trace_b)):
-            seeds = np.zeros((len(sel),) + feat_shape, dtype=emb.dtype)
-            flat = seeds.reshape(len(sel), -1)
-            flat[np.arange(len(sel)), sel] = emb[sel]
-            rel = relevance_stack(model, trace, layer_index, seeds, rules)
-            pooled.append(_pool_to_grid(rel, grid).astype(np.float64))
-        # plain-loop einsum keeps the unit-accumulation order identical for
-        # (a,b) and (b,a), making transpose symmetry exact
-        joint += np.einsum("mp,mq->pq", pooled[0], pooled[1], optimize=False)
+    ua, ub = (_unit_relevance_of(model, x, layer_index, rules, grid) for x in (a, b))
+    sim = float(np.dot(ua.embedding.astype(np.float64), ub.embedding.astype(np.float64)))
+    # plain-loop einsum keeps the unit-accumulation order identical for
+    # (a,b) and (b,a), making transpose symmetry exact
+    joint = np.einsum("mp,mq->pq", ua.pooled, ub.pooled, optimize=False)
+    n = len(ua.embedding)
     return JointRelevance(
         pair=tuple(pair),
         layer_index=layer_index,
         grid=grid,
         similarity=sim,
         matrix=joint,
-        units_used=len(units),
-        units_total=len(ea),
-        coverage=coverage,
+        units_used=n,
+        units_total=n,
+        coverage=1.0,
     )
+
+
+def _unit_relevance_of(model, x, layer_index, rules, grid) -> UnitRelevance:
+    if isinstance(x, UnitRelevance):
+        if (x.layer_index, x.grid, x.rules) != (layer_index, grid, rules):
+            raise ConfigError("unit relevance was computed for another layer, grid or rule")
+        return x
+    _, trace = forward_with_trace(model, x)
+    return unit_relevance(model, trace, layer_index, rules, grid)
 
 
 def top_connections(joint: JointRelevance, k: int) -> list:

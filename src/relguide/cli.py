@@ -19,8 +19,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .atlas import build_index, credibility, explain_pair, query_knn
-from .bilrp import export_json
+from .atlas import build_index, credibility, explain_pair, query_knn_vector
+from .bilrp import export_json, unit_relevance
 from .data import GeneratorConfig, generate, load_dataset, save_dataset
 from .errors import ConfigError, FormatError, NumericalError, ScoreError, UsageError
 from .lrp import LRPRuleConfig, input_relevance, render_heatmap
@@ -61,7 +61,7 @@ DEFAULTS = {
     },
     "retrieve": {
         "rule": None, "epsilon": 1e-6, "alpha": 1.0, "beta": 0.0,
-        "k": 5, "grid": 8, "metric": "euclidean", "unit_cap": 512, "layer": None,
+        "k": 5, "grid": 8, "metric": "euclidean", "layer": None,
     },
 }
 DEFAULTS["experiment1"] = {
@@ -126,7 +126,8 @@ def resolve_config(args, command: str) -> dict:
             loaded = loaded["config"]  # manifest replay
         if not isinstance(loaded, dict):
             raise UsageError("a config must be a JSON object")
-        loaded.pop("threads", None)  # a retired key that older manifests record
+        for retired in ("threads", "unit_cap"):  # keys that older manifests record
+            loaded.pop(retired, None)
         unknown = sorted(set(loaded) - set(cfg) - {"seed"})
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
@@ -135,6 +136,9 @@ def resolve_config(args, command: str) -> dict:
             if not _TYPE_CHECKS[expected](value):
                 raise UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
         cfg.update(loaded)
+    if "conv_channels" in cfg and not (cfg["conv_channels"] and min(cfg["conv_channels"]) >= 1):
+        raise UsageError("config key 'conv_channels' must list at least one conv layer, "
+                         f"each with >= 1 channels, got {json.dumps(cfg['conv_channels'])}")
     for flag, key in (
         ("seed", "seed"), ("loss", "loss"), ("power", "power"), ("rule", "rule"),
         ("layer", "layer"), ("k", "k"), ("grid", "grid"),
@@ -340,18 +344,25 @@ def cmd_retrieve(args) -> int:
     if not 0 <= layer <= len(model.layers):
         raise UsageError(f"--layer {layer} out of range: trace positions are 0..{len(model.layers)}")
     k = int(cfg["k"])
-    if k > len(atlas_set):
-        raise UsageError(f"k={k} exceeds atlas size {len(atlas_set)}")
+    if not 1 <= k <= len(atlas_set):
+        raise UsageError(f"--k {k} out of range: the atlas has {len(atlas_set)} samples")
+    grid = int(cfg["grid"])
+    _, h, w = model.input_shape
+    if grid < 1 or h % grid or w % grid:
+        raise UsageError(f"--grid {grid} must be >= 1 and divide the input size {h}x{w}")
     index = build_index(model, atlas_set, [layer], metric=cfg["metric"])[0]
-    neighbors = query_knn(index, query.image, model, k)
-    pred = int(np.argmax(forward_with_trace(model, query.image)[0].data))
+    # one forward pass of the query serves the search, the prediction and
+    # its half of every neighbour's joint relevance
+    logits, trace = forward_with_trace(model, query.image)
+    neighbors = query_knn_vector(index, trace.tensors[layer].data, k)
+    pred = int(np.argmax(logits.data))
     cred = credibility(neighbors, pred)
+    query_units = unit_relevance(model, trace, layer, rules, grid)
     artifacts = []
     by_id = {s.sample_id: s for s in atlas_set}
     for nid, _, _ in neighbors:
         joint = explain_pair(
-            model, query.image, by_id[nid], layer, rules,
-            grid=int(cfg["grid"]), query_id=query.sample_id, unit_cap=cfg["unit_cap"],
+            model, query_units, by_id[nid], layer, rules, grid=grid, query_id=query.sample_id
         )
         name = f"bilrp_{query.sample_id}_{nid}.json"
         export_json(joint, os.path.join(out, name))

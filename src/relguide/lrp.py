@@ -19,18 +19,24 @@ the recorded argmax (winner-take-all), flatten reshapes. Biases absorb
 their share of relevance rather than redistributing it, so conservation is
 exact only on bias-free networks.
 
-Two implementations of the same rules exist on purpose:
+Two implementations of the same rules exist on purpose, plus the transpose
+of the second:
 
 * :func:`relevance_graph` builds the propagation out of autodiff primitives
   on a traced forward graph. That makes the input relevance — and anything
   derived from it, such as a mask-attention score inside a loss — a
-  differentiable function of the model parameters.
+  differentiable function of the model parameters. Training uses it.
 * :func:`relevance_stack` propagates a whole stack of relevance seeds at
   once on the ndarray values of a traced forward pass, outside the graph.
-  It serves batched per-unit decompositions and fast evaluation loops.
+  Evaluation and explanation use it, through :func:`input_relevance`.
+* :func:`relevance_transpose` is the adjoint of :func:`relevance_stack` for
+  the same activations: it carries a stack of input-shaped tangents up to a
+  hidden position through the transposed rules. BiLRP uses it to get every
+  unit's relevance pooled to input patches in one pass per input.
 
-The two paths share their kernels and stabilizer arithmetic and are
-cross-checked in the test suite.
+All three share their kernels and stabilizer arithmetic; the graph and
+stacked routes are cross-checked in the test suite, and the transpose is
+checked against the stacked route by a dot-product test.
 """
 
 from __future__ import annotations
@@ -246,9 +252,9 @@ def relevance_stack(
         spec = model.layers[li]
         cache = trace.caches[li]
         if spec.kind == "conv":
-            r = _conv_backshare_stack(r, model, li, cache, rules)
+            r = _conv_backshare_stack(r, cache, _rule_terms(model, trace, li, rules))
         elif spec.kind == "dense":
-            r = _dense_backshare_stack(r, model, li, cache, trace.tensors[li + 1].data, rules)
+            r = _dense_backshare_stack(r, cache, _rule_terms(model, trace, li, rules))
         elif spec.kind == "maxpool":
             h, w = cache["in_hw"]
             r = kernels.pool_scatter(r, cache["idx"], h, w, spec.window, spec.stride)
@@ -261,50 +267,47 @@ def relevance_stack(
     return r
 
 
-def _conv_backshare_stack(r, model, li, cache, rules):
-    wm = cache["wm"].data
-    cols = cache["cols"].data
-    zmat = cache["zmat"].data
-    a = cache["in"].data
-    c_in, h, w, k, stride, padding, ho, wo = cache["geom"]
-    m = r.shape[0]
-    rmat = r.reshape(m, zmat.shape[0], zmat.shape[1])
-
-    def backproject(w_part, s):
+def _conv_backshare_stack(r, cache, terms):
+    c_in, h, w, k, stride, padding, _, _ = cache["geom"]
+    rmat = r.reshape((r.shape[0],) + cache["zmat"].data.shape)
+    out = None
+    for w_part, coef, denom in terms:
         # (M, C_out, L) x (C_out, Ckk) -> (M, Ckk, L)
-        ccols = np.tensordot(s, w_part, axes=(1, 0)).transpose(0, 2, 1)
-        return kernels.col2im_stack(
+        ccols = np.tensordot(_safe_ratio(rmat, denom), w_part, axes=(1, 0)).transpose(0, 2, 1)
+        term = coef * kernels.col2im_stack(
             np.ascontiguousarray(ccols), c_in, h, w, k, stride, padding
         )
-
-    if rules.rule_for("conv") == "epsilon":
-        s = _safe_ratio(rmat, _stab_denominator(zmat, rules.epsilon))
-        return backproject(wm, s) * a[None]
-
-    bias = model.params[f"layer{li}.bias"].data
-    out = None
-    for w_part, b_part, sign, coef in _split_parts(wm, bias, rules):
-        z_part = w_part @ cols + b_part[:, None]
-        s = _safe_ratio(rmat, _stab_denominator(z_part, rules.epsilon, sign))
-        term = coef * backproject(w_part, s)
         out = term if out is None else out + term
-    return out * a[None]
+    return out * cache["in"].data[None]
 
 
-def _dense_backshare_stack(r, model, li, cache, z, rules):
-    w = model.params[f"layer{li}.weight"].data
-    a = cache["in"].data
-    if rules.rule_for("dense") == "epsilon":
-        s = _safe_ratio(r, _stab_denominator(z, rules.epsilon))
-        return (s @ w) * a[None]
-    bias = model.params[f"layer{li}.bias"].data
+def _dense_backshare_stack(r, cache, terms):
     out = None
+    for w_part, coef, denom in terms:
+        term = coef * (_safe_ratio(r, denom) @ w_part)
+        out = term if out is None else out + term
+    return out * cache["in"].data[None]
+
+
+def _rule_terms(model, trace, li, rules):
+    """(weight part, coefficient, stabilized denominator) of each term of the
+    rule at conv or dense layer li. A term passes relevance r down as
+    ``coef * w_part^T (r / denom)``, times the layer input."""
+    kind = model.layers[li].kind
+    cache = trace.caches[li]
+    if kind == "conv":  # weights act on the patch matrix
+        w, lin_in, z = cache["wm"].data, cache["cols"].data, cache["zmat"].data
+    else:
+        w = model.params[f"layer{li}.weight"].data
+        lin_in, z = cache["in"].data, trace.tensors[li + 1].data
+    if rules.rule_for(kind) == "epsilon":
+        return [(w, np.asarray(1, dtype=w.dtype), _stab_denominator(z, rules.epsilon))]
+    bias = model.params[f"layer{li}.bias"].data
+    terms = []
     for w_part, b_part, sign, coef in _split_parts(w, bias, rules):
-        z_part = w_part @ a + b_part
-        s = _safe_ratio(r, _stab_denominator(z_part, rules.epsilon, sign))
-        term = coef * (s @ w_part)
-        out = term if out is None else out + term
-    return out * a[None]
+        z_part = w_part @ lin_in + b_part.reshape((-1,) + (1,) * (lin_in.ndim - 1))
+        terms.append((w_part, coef, _stab_denominator(z_part, rules.epsilon, sign)))
+    return terms
 
 
 def _split_parts(w, bias, rules):
@@ -316,6 +319,74 @@ def _split_parts(w, bias, rules):
     if rules.beta != 0.0:
         parts.append((w - w_pos, bias - b_pos, -1, np.asarray(-rules.beta, dtype=w.dtype)))
     return parts
+
+
+def relevance_transpose(
+    model: Model,
+    trace: ActivationTrace,
+    stop_index: int,
+    tangents: np.ndarray,
+    rules: Optional[LRPRuleConfig] = None,
+) -> np.ndarray:
+    """Adjoint of :func:`relevance_stack`: carry `tangents` (M stacked maps
+    shaped like the input) up to trace position `stop_index` through the
+    transposed rules. Returns (M,) + the shape of that trace entry, with
+    ``<relevance_stack(s), t> == <s, relevance_transpose(t)>`` for every
+    seed stack s.
+
+    Seeding relevance_stack with one unit at a time costs one map per unit;
+    a tangent that marks one input region gives that region's share of every
+    unit's relevance at once. The pass keeps the tangents' dtype, so float64
+    tangents give a float64 pass over the float32 activations.
+    """
+    rules = rules or LRPRuleConfig()
+    if not 0 <= stop_index < len(trace):
+        raise IndexError(f"trace index {stop_index} out of range")
+    in_shape = trace.tensors[0].data.shape
+    if tangents.shape[1:] != in_shape:
+        raise ConfigError(f"tangent shape {tangents.shape[1:]} does not match input {in_shape}")
+    t = tangents
+    for li in range(stop_index):
+        spec = model.layers[li]
+        cache = trace.caches[li]
+        if spec.kind == "conv":
+            t = _conv_forward_transpose(t, cache, _rule_terms(model, trace, li, rules))
+        elif spec.kind == "dense":
+            u = t * cache["in"].data[None]
+            t = _apply_terms(u[..., None], _rule_terms(model, trace, li, rules))[..., 0]
+        elif spec.kind == "maxpool":
+            t = kernels.pool_gather(t, cache["idx"], spec.window, spec.stride)
+        elif spec.kind == "flatten":
+            t = t.reshape(t.shape[0], -1)
+        # relu / dropout pass relevance unchanged, so their transpose does too
+        if not np.isfinite(t).all():
+            raise NumericalError(
+                f"non-finite relevance at layer {li} ({spec.kind}); stabilizer too small"
+            )
+    return t
+
+
+def _conv_forward_transpose(t, cache, terms):
+    _, _, _, k, stride, padding, ho, wo = cache["geom"]
+    m = t.shape[0]
+    u = t * cache["in"].data[None]
+    cols = kernels.im2col(u.reshape((-1,) + u.shape[2:]), k, stride, padding)
+    cols = cols.reshape(m, -1, cols.shape[1])  # (M, Ckk, L)
+    return _apply_terms(cols, terms).reshape(m, -1, ho, wo)
+
+
+def _apply_terms(x, terms):
+    """Sum over the rule's terms of ``coef * (w_part @ x) / denom`` for a
+    stack x of layer inputs, with the zero-denominator convention of the
+    backward route. The per-output scale is computed once for the stack and
+    applied in place, so a term holds one stack-sized array."""
+    out = None
+    for w_part, coef, denom in terms:
+        term = w_part @ x
+        scale = coef * _safe_ratio(np.ones((), dtype=term.dtype), denom)
+        term *= scale.reshape(term.shape[-2:])
+        out = term if out is None else out + term
+    return out
 
 
 def input_relevance(

@@ -2,13 +2,17 @@
 and random small-network builders.
 
 The oracles here deliberately avoid the library's compute paths: naive
-loops and direct formulas only, in float64.
+loops and direct formulas only, in float64. The one exception is
+`bilrp_reference`, which builds BiLRP by its per-unit definition on the
+backward relevance route (itself checked against the graph route and
+hand-unrolled rules) to check the transposed route BiLRP uses.
 """
 
 import numpy as np
 
 from relguide import kernels
 from relguide.engine import Tensor
+from relguide.lrp import relevance_stack
 from relguide.network import LayerSpec, Model, build_model, forward_with_trace
 
 
@@ -121,6 +125,30 @@ def naive_softmax_ce(logits, label):
     m = logits.max()
     z = np.exp(logits - m)
     return float(np.log(z.sum()) - (logits[label] - m))
+
+
+def bilrp_reference(model, a, b, layer_index, rules, grid, chunk=64):
+    """Joint BiLRP matrix by its definition: one backward relevance map per
+    embedding unit, seeded with the unit's activation (stacked `chunk` units
+    to a relevance_stack pass), channel-summed and pooled to the grid; the
+    outer products of the two inputs' pooled maps summed over all units."""
+    traces = [forward_with_trace(model, x)[1] for x in (a, b)]
+    shape = traces[0].tensors[layer_index].data.shape
+    _, h, w = model.input_shape
+    n = int(np.prod(shape))
+    joint = np.zeros((grid * grid, grid * grid))
+    for lo in range(0, n, chunk):
+        units = np.arange(lo, min(lo + chunk, n))
+        pooled = []
+        for trace in traces:
+            emb = trace.tensors[layer_index].data.reshape(-1)
+            seeds = np.zeros((len(units), n), dtype=emb.dtype)
+            seeds[np.arange(len(units)), units] = emb[units]
+            rel = relevance_stack(model, trace, layer_index, seeds.reshape((-1,) + shape), rules)
+            patches = rel.sum(axis=1).reshape(-1, grid, h // grid, grid, w // grid).sum(axis=(2, 4))
+            pooled.append(patches.reshape(len(units), -1).astype(np.float64))
+        joint += pooled[0].T @ pooled[1]
+    return joint
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from relguide.bilrp import bilrp, embed, export_json, similarity, top_connections
+from relguide.bilrp import (
+    bilrp,
+    embed,
+    export_json,
+    similarity,
+    top_connections,
+    unit_relevance,
+)
 from relguide.errors import ConfigError
 from relguide.lrp import LRPRuleConfig
 from relguide.network import LayerSpec, build_model, forward_with_trace
 
-from helpers import random_conv_net
+from helpers import bilrp_reference, random_conv_net
 
 EPS0 = LRPRuleConfig.uniform("epsilon", epsilon=0.0)
 EPS = LRPRuleConfig.uniform("epsilon", epsilon=1e-6)
@@ -151,28 +158,36 @@ class TestBilrp:
         with pytest.raises(ConfigError):
             bilrp(model, x, x, 0, EPS, grid=4)
 
-    def test_unit_cap_truncation_reported(self, rng):
+    @pytest.mark.parametrize("rules", [
+        EPS, LRPRuleConfig(), LRPRuleConfig.uniform("alphabeta", alpha=2.0, beta=1.0),
+    ], ids=["epsilon", "composite", "alpha2beta1"])
+    def test_matches_per_unit_backward_reference(self, rng, rules):
+        """One transposed pass per input gives the joint matrix that one
+        backward map per embedding unit gives, at every trace position."""
+        for _ in range(2):
+            model, _ = random_conv_net(rng, input_hw=8, with_pool=True)
+            a = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
+            b = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
+            for layer in range(len(model.layers) + 1):
+                got = bilrp(model, a, b, layer, rules, grid=4)
+                ref = bilrp_reference(model, a, b, layer, rules, grid=4, chunk=5)
+                scale = max(np.abs(ref).max(), 1e-30)
+                assert np.abs(got.matrix - ref).max() <= 1e-5 * scale, layer
+                assert got.units_used == got.units_total == embed(model, a, layer).size
+                assert got.coverage == 1.0
+
+    def test_precomputed_unit_relevance_reused(self, rng):
         model, _ = random_conv_net(rng, input_hw=8)
         a = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
         b = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
-        joint = bilrp(model, a, b, 1, EPS, grid=4, unit_cap=16)
-        assert joint.units_used == 16
-        assert joint.units_total > 16
-        assert 0 < joint.coverage <= 1
-        assert np.isfinite(joint.matrix).all()
-
-    def test_truncation_can_be_refused(self, rng):
-        model, x = random_conv_net(rng, input_hw=8)
-        with pytest.raises(ConfigError):
-            bilrp(model, x, x, 1, EPS, grid=4, unit_cap=4, allow_truncation=False)
-
-    def test_chunking_does_not_change_result(self, rng):
-        model, _ = random_conv_net(rng, input_hw=8)
-        a = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
-        b = np.abs(rng.normal(size=(2, 8, 8))).astype(np.float32)
-        j1 = bilrp(model, a, b, 2, EPS, grid=4, chunk=7)
-        j2 = bilrp(model, a, b, 2, EPS, grid=4, chunk=1000)
-        np.testing.assert_allclose(j1.matrix, j2.matrix, rtol=1e-12, atol=1e-12)
+        _, trace = forward_with_trace(model, a)
+        ua = unit_relevance(model, trace, 3, EPS, grid=4)
+        direct = bilrp(model, a, b, 3, EPS, grid=4)
+        np.testing.assert_array_equal(bilrp(model, ua, b, 3, EPS, grid=4).matrix, direct.matrix)
+        np.testing.assert_array_equal(bilrp(model, b, ua, 3, EPS, grid=4).matrix, direct.matrix.T)
+        for layer, rules, grid in ((2, EPS, 4), (3, EPS0, 4), (3, EPS, 2)):
+            with pytest.raises(ConfigError):
+                bilrp(model, ua, b, layer, rules, grid=grid)
 
 
 class TestTopConnections:

@@ -270,6 +270,47 @@ class TestRetrieve:
         n_layers = len(load_weights(workspace / "run" / "weights.rgtw").layers)
         assert err.count("\n") == 1 and f"0..{n_layers}" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--k", "0"), ("--k", "-1"), ("--grid", "0"), ("--grid", "-4"), ("--grid", "3"),
+    ])
+    def test_range_checked_before_index_build(self, workspace, tmp_path, capsys, monkeypatch,
+                                              flag, value):
+        def no_index(*args, **kwargs):
+            raise AssertionError("index built before the range check")
+
+        monkeypatch.setattr("relguide.cli.build_index", no_index)
+        code = run_cli(
+            "retrieve", "--weights", str(workspace / "run" / "weights.rgtw"),
+            "--atlas", str(workspace / "data" / "train.rgtd"),
+            "--query-id", "3", "--layer", "4", flag, value, "--out", str(tmp_path / "r"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and flag in err
+
+    def test_manifest_with_retired_unit_cap_replays(self, workspace, tmp_path):
+        # retrieve manifests written while BiLRP capped its units record
+        # "unit_cap"; it is dropped, and every unit is explained
+        first = tmp_path / "first"
+        argv = ["retrieve", "--weights", str(workspace / "run" / "weights.rgtw"),
+                "--atlas", str(workspace / "data" / "train.rgtd"), "--query-id", "3"]
+        assert run_cli(*argv, "--layer", "4", "--k", "2", "--grid", "4", "--out", str(first)) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert "unit_cap" not in manifest["config"]
+        manifest["config"]["unit_cap"] = 512
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        replay = tmp_path / "replay"
+        assert run_cli(*argv, "--config", str(path), "--out", str(replay)) == 0
+        assert (replay / "neighbors.json").read_bytes() == (first / "neighbors.json").read_bytes()
+        for n in json.loads((replay / "neighbors.json").read_text())["neighbors"]:
+            name = f"bilrp_3_{n['id']}.json"
+            joint = json.loads((replay / name).read_text())
+            assert joint["coverage"] == 1.0
+            assert joint["units_used"] == joint["units_total"]
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
+
     def test_k_beyond_atlas_size(self, workspace, tmp_path):
         code = run_cli(
             "retrieve", "--weights", str(workspace / "run" / "weights.rgtw"),
@@ -406,6 +447,8 @@ class TestConfigValues:
         ("retrieve", {"layer": "7"}, "layer"),
         ("experiment2", {"seed": 1, "epochs": 3}, "epochs"),
         ("train", [1, 2], "JSON object"),
+        ("train", {"conv_channels": []}, "conv_channels"),
+        ("experiment2", {"seed": 1, "conv_channels": [8, 0]}, "conv_channels"),
     ])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command, config, named):
         path = tmp_path / "cfg.json"

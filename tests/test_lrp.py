@@ -6,7 +6,7 @@ import pytest
 
 from relguide import engine as E
 from relguide.engine import Tensor
-from relguide.errors import NumericalError
+from relguide.errors import ConfigError, NumericalError
 from relguide.lrp import (
     LRPRuleConfig,
     input_relevance,
@@ -14,6 +14,7 @@ from relguide.lrp import (
     read_heatmap_csv,
     relevance_graph,
     relevance_stack,
+    relevance_transpose,
     render_heatmap,
     sensitivity_map,
 )
@@ -194,6 +195,38 @@ class TestGraphVsStack:
         seeds[2] = [1.0, 1.0]
         out = relevance_stack(model, trace, len(model.layers), seeds, EPS)
         np.testing.assert_allclose(out[2], out[0] + out[1], rtol=1e-4, atol=1e-6)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("rules", [
+        EPS, AB10, LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=2.0, beta=1.0),
+    ], ids=["epsilon", "alpha1beta0", "alpha2beta1"])
+    def test_adjoint_of_stack(self, rng, rules):
+        """<relevance_stack(s), t> == <s, relevance_transpose(t)> in float64,
+        from every trace position of conv/pool/dense and dense nets."""
+        def dots(x, y):
+            return x.reshape(len(x), -1) @ y.reshape(len(y), -1).T
+
+        for make in (lambda: random_conv_net(rng, input_hw=8, with_pool=True),
+                     lambda: random_conv_net(rng, input_hw=8, depth=2),
+                     lambda: random_dense_net(rng, widths=[5, 4])):
+            model, x = make()
+            model = model.astype(np.float64)
+            _, trace = forward_with_trace(model, x)
+            for start in range(len(model.layers) + 1):
+                s = rng.normal(size=(3,) + trace.tensors[start].data.shape)
+                t = rng.normal(size=(3,) + trace.tensors[0].data.shape)
+                lhs = dots(relevance_stack(model, trace, start, s, rules), t)
+                rhs = dots(s, relevance_transpose(model, trace, start, t, rules))
+                np.testing.assert_allclose(rhs, lhs, rtol=0, atol=1e-9 * np.abs(lhs).max())
+
+    def test_shape_checks(self, rng):
+        model, x = random_conv_net(rng)
+        _, trace = forward_with_trace(model, x)
+        with pytest.raises(IndexError):
+            relevance_transpose(model, trace, len(trace), np.zeros((1,) + x.shape))
+        with pytest.raises(ConfigError):
+            relevance_transpose(model, trace, 1, np.zeros((1, 1) + x.shape[1:]))
 
 
 class TestDifferentiability:
