@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Byte-compare the command outputs of two relguide source trees.
+
+    python3 scripts/compare_outputs.py SRC_A SRC_B
+
+SRC_A and SRC_B are roots of relguide checkouts. With each tree (its
+``src/`` first on PYTHONPATH, one BLAS thread), the script runs the same
+commands into a temporary directory of its own:
+
+* ``generate`` of a small 64x64 task (48 training, 24 validation samples);
+* plain and guided (penalization, p=1) ``train`` for two epochs;
+* ``evaluate`` of both weight files, the guided one also with the
+  alpha2-beta1 rule;
+* ``explain`` of two validation samples, one also with the epsilon rule;
+* ``retrieve`` at trace positions 3 and 7.
+
+It then lists every output file that differs between the two trees, or
+exists under one only. Manifests are compared with ``duration_seconds``
+removed. Exit status: 0 when nothing differs, 1 when a file differs, 2
+when a command fails.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+BLAS_ENV = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+VAL = 1_000_000  # first validation sample id (relguide.cli.VAL_ID_OFFSET)
+
+CONFIGS = {
+    "generate.json": {"samples_per_class": 24, "val_per_class": 12},
+    "plain.json": {"epochs": 2},
+    "guided.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99},
+    "alpha2beta1.json": {"alpha": 2.0, "beta": 1.0},
+}
+
+COMMANDS = [
+    ["generate", "--config", "generate.json", "--seed", "7", "--out", "data"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "plain.json",
+     "--seed", "12", "--loss", "original", "--out", "plain"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided.json",
+     "--seed", "12", "--loss", "penalization", "--power", "1", "--out", "guided"],
+    ["evaluate", "--weights", "plain/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_plain"],
+    ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_guided"],
+    ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
+     "--config", "alpha2beta1.json", "--rule", "alphabeta", "--out", "evaluate_ab"],
+    ["explain", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
+     "--sample-id", str(VAL), "--out", "explain0"],
+    ["explain", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
+     "--sample-id", str(VAL + 1), "--out", "explain1"],
+    ["explain", "--weights", "plain/weights.rgtw", "--data", "data/val.rgtd",
+     "--sample-id", str(VAL + 1), "--rule", "epsilon", "--out", "explain_eps"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "3", "--k", "3", "--out", "retrieve3"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "7", "--k", "3", "--out", "retrieve7"],
+]
+
+
+def run_tree(tree: str, work: str) -> None:
+    """Run every command with the relguide package under `tree`/src."""
+    env = dict(os.environ, **BLAS_ENV, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    for name, cfg in CONFIGS.items():
+        with open(os.path.join(work, name), "w") as f:
+            json.dump(cfg, f)
+    for argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "relguide", *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{tree}: relguide {' '.join(argv)} exited {proc.returncode}: "
+                  f"{proc.stderr.strip()}", file=sys.stderr)
+            sys.exit(2)
+
+
+def outputs(work: str) -> dict:
+    """Relative path -> comparable content of every file the commands wrote."""
+    found = {}
+    for root, _, files in os.walk(work):
+        for name in files:
+            path = os.path.join(root, name)
+            rel = os.path.relpath(path, work)
+            if rel in CONFIGS:
+                continue
+            if name == "manifest.json":
+                with open(path) as f:
+                    manifest = json.load(f)
+                manifest.pop("duration_seconds", None)
+                found[rel] = manifest
+            else:
+                with open(path, "rb") as f:
+                    found[rel] = f.read()
+    return found
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("src_a", help="root of the first relguide checkout")
+    ap.add_argument("src_b", help="root of the second relguide checkout")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        found = []
+        for i, tree in enumerate((args.src_a, args.src_b)):
+            work = os.path.join(tmp, str(i))
+            os.makedirs(work)
+            run_tree(tree, work)
+            found.append(outputs(work))
+    a, b = found
+    differing = sorted(p for p in set(a) | set(b) if a.get(p) != b.get(p))
+    for path in differing:
+        side = "" if path in a and path in b else f" (only under {'SRC_A' if path in a else 'SRC_B'})"
+        print(f"differs: {path}{side}")
+    print(f"{len(set(a) | set(b))} files compared, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

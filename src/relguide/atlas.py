@@ -10,6 +10,7 @@ decomposition from :mod:`relguide.bilrp`.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -47,18 +48,20 @@ class AtlasIndex:
 
 def build_index(model: Model, samples, layer_indices, metric="euclidean") -> list:
     """One index per requested trace position; vectors are inference-mode
-    activations (dropout off)."""
+    activations (dropout off) of passes that stop at the deepest position."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot build an index from an empty sample set")
+    for li in layer_indices:
+        if not 0 <= li <= len(model.layers):
+            raise IndexError(f"layer index {li} out of range (0..{len(model.layers)})")
+    stop = max(layer_indices, default=0)
     per_layer = {li: [] for li in layer_indices}
     ids = []
     labels = []
     for s in samples:
-        _, trace = forward_with_trace(model, s.image)
+        _, trace = forward_with_trace(model, s.image, stop=stop)
         for li in layer_indices:
-            if not 0 <= li < len(trace):
-                raise IndexError(f"layer index {li} out of range (0..{len(trace) - 1})")
             per_layer[li].append(trace.tensors[li].data.reshape(-1).astype(np.float32))
         ids.append(s.sample_id)
         labels.append(s.label)
@@ -109,8 +112,8 @@ def query_knn_vector(index: AtlasIndex, q: np.ndarray, k: int) -> list:
 
 def query_knn(index: AtlasIndex, x: np.ndarray, model: Model, k: int) -> list:
     """k nearest atlas samples to an input, embedded at the index's layer."""
-    _, trace = forward_with_trace(model, x)
-    return query_knn_vector(index, trace.tensors[index.layer_index].data, k)
+    embedding, _ = forward_with_trace(model, x, stop=index.layer_index)
+    return query_knn_vector(index, embedding.data, k)
 
 
 def credibility(neighbors, predicted_label: int) -> float:
@@ -185,6 +188,10 @@ def load_index(path) -> AtlasIndex:
             raise FormatError(f"unsupported atlas file version {version}")
         if metric_code >= len(METRICS):
             raise FormatError(f"unknown metric code {metric_code}")
+        need = n * (4 + 1 + 4 * dim)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if need > left:
+            raise FormatError(f"truncated atlas file: header declares {need} bytes, {left} left")
         ids = np.frombuffer(_read_exact(f, 4 * n, "ids"), dtype="<u4").copy()
         labels = np.frombuffer(_read_exact(f, n, "labels"), dtype="u1").copy()
         vectors = (

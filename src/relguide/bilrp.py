@@ -11,11 +11,13 @@ and patch q of the second jointly contribute to the similarity.
 For fixed activations, relevance propagation from the embedding down to the
 input is a linear map L, and pooling to the grid is linear too. Unit m's
 pooled map is therefore row m of ``P[m, p] = phi_m * (L^T 1_p)[m]``, where
-1_p marks patch p on every channel: one pass of the transposed rules
+1_p marks patch p on every channel: the transposed rules
 (:func:`relguide.lrp.relevance_transpose`) with the g*g patch markers as
-tangents gives P for every unit, exactly. The joint matrix is
-``P_a^T P_b``; its accumulation order over units is fixed, so results are
-reproducible and the transpose symmetry between (a, b) and (b, a) is exact.
+tangents give P for every unit, exactly, in one pass per grid row of g
+tangents (1/g of the memory of one pass, and the same bits: numpy runs one
+GEMM per stacked tangent). The joint matrix is ``P_a^T P_b``; its
+accumulation order over units is fixed, so results are reproducible and
+the transpose symmetry between (a, b) and (b, a) is exact.
 """
 
 from __future__ import annotations
@@ -70,10 +72,8 @@ class UnitRelevance:
 
 def embed(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
     """Flattened activation at a trace position (0 = the input itself)."""
-    _, trace = forward_with_trace(model, x)
-    if not 0 <= layer_index < len(trace):
-        raise IndexError(f"layer index {layer_index} out of range (0..{len(trace) - 1})")
-    return trace.tensors[layer_index].data.reshape(-1).copy()
+    out, _ = forward_with_trace(model, x, stop=layer_index)
+    return out.data.reshape(-1).copy()
 
 
 def similarity(model: Model, a: np.ndarray, b: np.ndarray, layer_index: int) -> float:
@@ -90,8 +90,8 @@ def unit_relevance(
     rules: Optional[LRPRuleConfig] = None,
     grid: int = 8,
 ) -> UnitRelevance:
-    """Pooled relevance of every unit at `layer_index` for one traced input,
-    from one transposed pass with one tangent per grid patch."""
+    """Pooled relevance of every unit at `layer_index` for one traced input
+    (traced at least that far), from one transposed pass per grid row."""
     rules = rules or LRPRuleConfig()
     if len(model.input_shape) != 3:
         raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
@@ -103,7 +103,10 @@ def unit_relevance(
     g2 = grid * grid
     markers = np.eye(g2).reshape(g2, 1, grid, 1, grid, 1)
     tangents = np.broadcast_to(markers, (g2, c, grid, h // grid, grid, w // grid))
-    t = relevance_transpose(model, trace, layer_index, tangents.reshape(g2, c, h, w), rules)
+    t = np.concatenate([
+        relevance_transpose(model, trace, layer_index, row.reshape(grid, c, h, w), rules)
+        for row in np.split(tangents, grid)
+    ])
     emb = trace.tensors[layer_index].data.reshape(-1)
     pooled = np.ascontiguousarray(t.reshape(g2, -1).T) * emb[:, None]
     return UnitRelevance(layer_index, grid, rules, emb, pooled)
@@ -150,7 +153,7 @@ def _unit_relevance_of(model, x, layer_index, rules, grid) -> UnitRelevance:
         if (x.layer_index, x.grid, x.rules) != (layer_index, grid, rules):
             raise ConfigError("unit relevance was computed for another layer, grid or rule")
         return x
-    _, trace = forward_with_trace(model, x)
+    _, trace = forward_with_trace(model, x, stop=layer_index)
     return unit_relevance(model, trace, layer_index, rules, grid)
 
 

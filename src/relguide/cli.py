@@ -294,10 +294,10 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "explain")
-    out = _ensure_out(args)
     dataset = load_dataset(args.data)
     sample = _sample_by_id(dataset, args.sample_id)
     model = load_weights(args.weights)
+    out = _ensure_out(args)
     rules = rules_from_config(cfg)
     logits, trace = forward_with_trace(model, sample.image)
     pred = int(np.argmax(logits.data))
@@ -335,7 +335,6 @@ def cmd_retrieve(args) -> int:
     cfg = resolve_config(args, "retrieve")
     if cfg.get("layer") is None:
         raise UsageError("retrieve requires --layer (trace position of the embedding)")
-    out = _ensure_out(args)
     atlas_set = load_dataset(args.atlas)
     query = _sample_by_id(atlas_set, args.query_id)
     model = load_weights(args.weights)
@@ -350,6 +349,7 @@ def cmd_retrieve(args) -> int:
     _, h, w = model.input_shape
     if grid < 1 or h % grid or w % grid:
         raise UsageError(f"--grid {grid} must be >= 1 and divide the input size {h}x{w}")
+    out = _ensure_out(args)
     index = build_index(model, atlas_set, [layer], metric=cfg["metric"])[0]
     # one forward pass of the query serves the search, the prediction and
     # its half of every neighbour's joint relevance

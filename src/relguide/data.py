@@ -15,6 +15,8 @@ order-independent.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -247,6 +249,10 @@ def load_dataset(path) -> list:
             raise FormatError(f"unsupported dataset version {version}")
         if n == 0 or c == 0 or h == 0 or w == 0:
             raise FormatError("dataset header with zero dimension")
+        need = n * (5 + 4 * math.prod((c, h, w)) + 2 * h * w)
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if need > left:
+            raise FormatError(f"truncated dataset file: header declares {need} bytes, {left} left")
         for _ in range(n):
             sid, label = struct.unpack("<IB", _read_exact(f, 5, "sample header"))
             img = (

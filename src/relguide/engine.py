@@ -162,9 +162,9 @@ def pow_const(a: Tensor, p: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0), (a,), dtype=None)
-    out.bwd = lambda g: (g * mask,)
+    # the bits of np.where(x > 0, x, 0): fmax maps NaN to 0, + 0 turns -0.0 into +0.0
+    out = Tensor(np.fmax(a.data, 0) + 0, (a,), dtype=None)
+    out.bwd = lambda g: (g * (a.data > 0),)
     return out
 
 

@@ -10,6 +10,8 @@ cost is dominated by BLAS, not interpreter overhead.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -23,7 +25,9 @@ def im2col(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
     ho = conv_out_size(h, k, stride, padding)
     wo = conv_out_size(w, k, stride, padding)
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x
+        x = xp
     cols = np.empty((c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
@@ -66,29 +70,23 @@ def col2im_stack(
     return xp
 
 
-def pool_windows(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """(C,H,W) -> (C, window*window, Ho, Wo), window contents in row-major order."""
+def maxpool_forward(x: np.ndarray, window: int, stride: int):
+    """Returns (out, idx): max over each window and the flat row-major index
+    of its first occurrence, as argmax gives it, which fixes both the
+    gradient route and the winner-take-all relevance route. `out` is a
+    running maximum over the window's strided slices and `idx` the count of
+    leading slices that miss it. A window holding NaN gives NaN."""
     c, h, w = x.shape
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    win = np.empty((c, window * window, ho, wo), dtype=x.dtype)
-    for i in range(window):
-        for j in range(window):
-            win[:, i * window + j] = x[
-                :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ]
-    return win
-
-
-def maxpool_forward(x: np.ndarray, window: int, stride: int):
-    """Returns (out, idx): max over each window and the flat row-major argmax.
-
-    argmax takes the first occurrence on ties, which fixes both the gradient
-    route and the winner-take-all relevance route.
-    """
-    win = pool_windows(x, window, stride)
-    idx = win.argmax(axis=1)
-    out = np.take_along_axis(win, idx[:, None], axis=1)[:, 0]
+    slices = [x[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
+              for i in range(window) for j in range(window)]
+    out = functools.reduce(np.maximum, slices)
+    miss = slices[0] != out
+    idx = miss.astype(np.intp)
+    for s in slices[1:-1]:
+        miss &= s != out
+        idx += miss
     return out, idx
 
 
@@ -115,14 +113,14 @@ def pool_scatter(
 def pool_gather(
     x: np.ndarray, idx: np.ndarray, window: int, stride: int
 ) -> np.ndarray:
-    """Adjoint of pool_scatter: pick the argmax position out of each window."""
+    """Adjoint of pool_scatter: pick the argmax position out of each window,
+    by flat index; ``+ 0`` turns -0.0 into +0.0, as a sum of masked terms."""
     c, ho, wo = idx.shape
-    out = np.zeros(x.shape[:-3] + (c, ho, wo), dtype=x.dtype)
-    for i in range(window):
-        for j in range(window):
-            mask = idx == i * window + j
-            out += x[..., i : i + stride * ho : stride, j : j + stride * wo : stride] * mask
-    return out
+    h, w = x.shape[-2:]
+    offsets = (np.arange(window)[:, None] * w + np.arange(window)).ravel()
+    corners = (np.arange(c)[:, None, None] * h + np.arange(ho)[:, None] * stride) * w
+    flat = offsets[idx] + corners + np.arange(wo) * stride
+    return np.take(x.reshape(x.shape[:-3] + (-1,)), flat, axis=-1) + 0
 
 
 def stable_sign(z: np.ndarray) -> np.ndarray:

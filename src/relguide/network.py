@@ -9,6 +9,8 @@ same trace.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -181,13 +183,17 @@ def forward_with_trace(
     x,
     training: bool = False,
     rng: Optional[np.random.Generator] = None,
+    stop: Optional[int] = None,
 ):
-    """Graph-building forward pass. Returns (logits, ActivationTrace).
+    """Graph-building forward pass. Returns (output, ActivationTrace).
 
     The trace holds graph tensors, so any entry can serve as a relevance
     starting point or as a feature source while staying differentiable.
-    An ndarray input takes the model's parameter dtype.
+    An ndarray input takes the model's parameter dtype. With a trace position
+    `stop`, the pass ends there and outputs its activation, not the logits.
     """
+    if stop is not None and not 0 <= stop <= len(model.layers):
+        raise IndexError(f"layer index {stop} out of range (0..{len(model.layers)})")
     if not isinstance(x, Tensor):
         x = Tensor(x, dtype=model.dtype)
     if x.data.shape != model.input_shape:
@@ -197,7 +203,7 @@ def forward_with_trace(
     h = x
     tensors = [x]
     caches = []
-    for li, spec in enumerate(model.layers):
+    for li, spec in enumerate(model.layers[:stop]):
         cache = {"in": h}
         if spec.kind == "conv":
             h, conv_cache = engine.conv2d_with_cache(
@@ -267,8 +273,13 @@ def read_weight_tensors(path) -> dict:
             if rank > 8:
                 raise FormatError(f"implausible tensor rank {rank}")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
-            n = int(np.prod(dims)) if rank else 1
-            payload = _read_exact(f, 4 * n, f"tensor {name}")
+            nbytes = 4 * math.prod(dims)
+            left = os.fstat(f.fileno()).st_size - f.tell()
+            if nbytes > left:
+                raise FormatError(
+                    f"truncated weight file: tensor {name} declares {nbytes} bytes, {left} left"
+                )
+            payload = _read_exact(f, nbytes, f"tensor {name}")
             tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
         if f.read(1):
             raise FormatError("trailing bytes after last tensor")

@@ -10,7 +10,6 @@ hand-unrolled rules) to check the transposed route BiLRP uses.
 
 import numpy as np
 
-from relguide import kernels
 from relguide.engine import Tensor
 from relguide.lrp import relevance_stack
 from relguide.network import LayerSpec, Model, build_model, forward_with_trace
@@ -120,6 +119,20 @@ def naive_maxpool(x, window, stride):
     return out
 
 
+def naive_pool_windows(x, window, stride):
+    """(C,H,W) -> (C, Ho, Wo, window*window): each window's contents in
+    row-major order, copied window by window."""
+    c, h, w = x.shape
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    out = np.empty((c, ho, wo, window * window), dtype=x.dtype)
+    for i in range(ho):
+        for j in range(wo):
+            patch = x[:, i * stride : i * stride + window, j * stride : j * stride + window]
+            out[:, i, j] = patch.reshape(c, -1)
+    return out
+
+
 def naive_softmax_ce(logits, label):
     logits = np.asarray(logits, dtype=np.float64)
     m = logits.max()
@@ -221,9 +234,8 @@ def min_kink_margin(model, x) -> float:
         if spec.kind == "relu":
             margin = min(margin, float(np.abs(acts[li]).min()))
         elif spec.kind == "maxpool":
-            win = kernels.pool_windows(acts[li], spec.window, spec.stride)
-            srt = np.sort(win.reshape(win.shape[0], win.shape[1], -1), axis=1)
-            top, second = srt[:, -1], srt[:, -2]
+            srt = np.sort(naive_pool_windows(acts[li], spec.window, spec.stride), axis=-1)
+            top, second = srt[..., -1], srt[..., -2]
             live = top > 0  # all-zero windows are flat, hence stable
             if live.any():
                 margin = min(margin, float((top[live] - second[live]).min()))

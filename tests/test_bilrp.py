@@ -15,8 +15,8 @@ from relguide.bilrp import (
     unit_relevance,
 )
 from relguide.errors import ConfigError
-from relguide.lrp import LRPRuleConfig
-from relguide.network import LayerSpec, build_model, forward_with_trace
+from relguide.lrp import LRPRuleConfig, relevance_transpose
+from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
 
 from helpers import bilrp_reference, random_conv_net
 
@@ -188,6 +188,29 @@ class TestBilrp:
         for layer, rules, grid in ((2, EPS, 4), (3, EPS0, 4), (3, EPS, 2)):
             with pytest.raises(ConfigError):
                 bilrp(model, ua, b, layer, rules, grid=grid)
+
+
+class TestUnitRelevanceRows:
+    @pytest.mark.parametrize(
+        "rules", [LRPRuleConfig(), LRPRuleConfig.uniform("alphabeta", alpha=2.0, beta=1.0)]
+    )
+    def test_rows_equal_one_pass_over_all_patches(self, rng, rules):
+        """One transposed pass per grid row gives the bits of one pass over
+        all g*g patch tangents."""
+        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        x = rng.random((3, 32, 32)).astype(np.float32)
+        _, trace = forward_with_trace(model, x)
+        grid = 8
+        g2 = grid * grid
+        tangents = np.zeros((g2, 3, grid, 4, grid, 4))
+        for p in range(g2):
+            tangents[p, :, p // grid, :, p % grid, :] = 1.0
+        for layer in (3, 7, len(model.layers)):
+            t = relevance_transpose(model, trace, layer, tangents.reshape(g2, 3, 32, 32), rules)
+            emb = trace.tensors[layer].data.reshape(-1)
+            want = np.ascontiguousarray(t.reshape(g2, -1).T) * emb[:, None]
+            got = unit_relevance(model, trace, layer, rules, grid).pooled
+            assert got.tobytes() == want.tobytes(), layer
 
 
 class TestTopConnections:

@@ -4,15 +4,18 @@ recomputation contracts between printed values and written files."""
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, read_heatmap_csv
-from relguide.network import forward_with_trace, load_weights
+from relguide.errors import FormatError
+from relguide.network import forward_with_trace, load_weights, read_weight_tensors
 from relguide.bilrp import similarity
 from relguide.training import evaluate, lesion_relevance_score, read_metrics_csv
 
@@ -223,6 +226,7 @@ class TestExplain:
             "--sample-id", "424242", "--out", str(tmp_path / "x"),
         )
         assert code == 1
+        assert not (tmp_path / "x").exists()
 
 
 class TestRetrieve:
@@ -256,6 +260,7 @@ class TestRetrieve:
             "--query-id", "3", "--out", str(tmp_path / "r"),
         )
         assert code == 1
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("layer", ["99", "-1"])
     def test_layer_out_of_range(self, workspace, tmp_path, capsys, layer):
@@ -269,6 +274,7 @@ class TestRetrieve:
         assert "Traceback" not in err
         n_layers = len(load_weights(workspace / "run" / "weights.rgtw").layers)
         assert err.count("\n") == 1 and f"0..{n_layers}" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--k", "0"), ("--k", "-1"), ("--grid", "0"), ("--grid", "-4"), ("--grid", "3"),
@@ -288,6 +294,7 @@ class TestRetrieve:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("\n") == 1 and flag in err
+        assert not (tmp_path / "r").exists()
 
     def test_manifest_with_retired_unit_cap_replays(self, workspace, tmp_path):
         # retrieve manifests written while BiLRP capped its units record
@@ -488,3 +495,86 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             run_cli("--version")
         assert e.value.code == 0
+
+
+U32_MAX = 2**32 - 1
+
+
+def _weight_header_fields(blob):
+    """Offsets of the u32 header fields of a weight file: version, tensor
+    count, and the rank and each dim of its first rank-4 tensor."""
+    fields = {"version": 4, "count": 8}
+    pos = 12
+    while True:
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + nlen
+        (rank,) = struct.unpack_from("<I", blob, pos)
+        dims = struct.unpack_from(f"<{rank}I", blob, pos + 4)
+        if rank == 4:
+            fields["rank"] = pos
+            fields.update({f"dim{i}": pos + 4 + 4 * i for i in range(rank)})
+            return fields
+        pos += 4 + 4 * rank + 4 * int(np.prod(dims))
+
+
+class TestCorruptHeaders:
+    """Every u32 size or version field of a file header, set to 0 or to the
+    largest u32, is a FormatError, and no read is sized by an unchecked
+    field; through the CLI, exit 2 with one line on stderr."""
+
+    @pytest.fixture(scope="class")
+    def files(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("headers")
+        index = AtlasIndex(4, np.ones((3, 5), dtype=np.float32), np.arange(3, dtype=np.uint32),
+                           np.zeros(3, dtype=np.uint8))
+        save_index(index, root / "index.rgta")
+        return {
+            "dataset": (workspace / "data" / "val.rgtd").read_bytes(),
+            "weights": (workspace / "run" / "weights.rgtw").read_bytes(),
+            "atlas": (root / "index.rgta").read_bytes(),
+        }
+
+    CASES = (
+        [("dataset", f, o) for f, o in (("version", 4), ("n", 8), ("c", 12), ("h", 16), ("w", 20))]
+        + [("weights", f, None) for f in ("version", "count", "rank", "dim0", "dim1", "dim2", "dim3")]
+        + [("atlas", f, o) for f, o in (("version", 4), ("n", 13), ("dim", 17))]
+    )
+
+    @pytest.mark.parametrize("value", [0, U32_MAX])
+    @pytest.mark.parametrize("fmt, field, offset", CASES)
+    def test_field_rejected(self, workspace, files, tmp_path, capsys, fmt, field, offset, value):
+        blob = bytearray(files[fmt])
+        if offset is None:
+            offset = _weight_header_fields(blob)[field]
+        struct.pack_into("<I", blob, offset, value)
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(bytes(blob))
+        reader = {"dataset": load_dataset, "weights": read_weight_tensors, "atlas": load_index}[fmt]
+        with pytest.raises(FormatError):
+            reader(path)
+        if fmt == "atlas":
+            return  # no command reads index files
+        weights = path if fmt == "weights" else workspace / "run" / "weights.rgtw"
+        data = path if fmt == "dataset" else workspace / "data" / "val.rgtd"
+        code = run_cli("evaluate", "--weights", str(weights), "--data", str(data),
+                       "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sizes_that_wrap_in_fixed_width(self, workspace, files, tmp_path, capsys):
+        # N=1, C=H=W=2^32-1: the sample size overflows any machine integer
+        blob = bytearray(files["dataset"])
+        struct.pack_into("<IIII", blob, 8, 1, U32_MAX, U32_MAX, U32_MAX)
+        (tmp_path / "bad.rgtd").write_bytes(bytes(blob))
+        # every dim of a rank-4 tensor 2^32-1: the int64 product wraps
+        blob = bytearray(files["weights"])
+        dims = _weight_header_fields(blob)["dim0"]
+        struct.pack_into("<4I", blob, dims, *([U32_MAX] * 4))
+        (tmp_path / "bad.rgtw").write_bytes(bytes(blob))
+        for argv in (
+            ["--weights", str(workspace / "run" / "weights.rgtw"), "--data", str(tmp_path / "bad.rgtd")],
+            ["--weights", str(tmp_path / "bad.rgtw"), "--data", str(workspace / "data" / "val.rgtd")],
+        ):
+            assert run_cli("evaluate", *argv, "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "truncated" in err

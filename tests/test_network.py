@@ -95,6 +95,28 @@ class TestForward:
             assert t.data.dtype == np.float64
             np.testing.assert_allclose(t.data, e, rtol=1e-10, atol=1e-12)
 
+    def test_stop_position_truncates_trace(self, rng):
+        """A pass stopped at trace position s gives the first s+1 entries
+        (and s caches) of the full trace, bit for bit, and the entry at s
+        as its output; a position outside 0..len(layers) is refused before
+        any layer runs."""
+        model = build_default_model((3, 32, 32), seed=4, conv_channels=(4, 4, 4, 4), dense_units=8)
+        x = rng.random((3, 32, 32)).astype(np.float32)
+        n = len(model.layers)
+        _, full = forward_with_trace(model, x)
+        for stop in (0, 7, n):
+            out, trace = forward_with_trace(model, x, stop=stop)
+            assert len(trace) == stop + 1 and len(trace.caches) == stop
+            assert out is trace.tensors[-1]
+            for got, want in zip(trace.tensors, full.tensors[: stop + 1]):
+                assert got.data.tobytes() == want.data.tobytes()
+            for got, want in zip(trace.caches, full.caches):
+                if "idx" in want:
+                    np.testing.assert_array_equal(got["idx"], want["idx"])
+        for stop in (-1, n + 1):
+            with pytest.raises(IndexError, match=rf"out of range \(0\.\.{n}\)"):
+                forward_with_trace(model, np.zeros((1, 3, 3), dtype=np.float32), stop=stop)
+
     def test_shape_mismatch(self, rng):
         model, _ = random_conv_net(rng)
         with pytest.raises(DimensionError):
