@@ -16,16 +16,27 @@ commands into a temporary directory of its own:
 
 It then lists every output file that differs between the two trees, or
 exists under one only. Manifests are compared with ``duration_seconds``
-removed. Exit status: 0 when nothing differs, 1 when a file differs, 2
-when a command fails.
+removed. For a weight file or ``metrics.csv`` that differs, it prints the
+largest |difference| of each tensor or column, relative to that tensor's or
+column's largest |entry| under SRC_A.
+
+A second pass separates training from serving: SRC_B runs the
+``evaluate``, ``explain`` and ``retrieve`` commands again on SRC_A's
+dataset and weight files, and those outputs are compared with SRC_A's.
+
+Exit status: 0 when nothing differs in either pass, 1 when a file differs,
+2 when a command fails.
 """
 
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 BLAS_ENV = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 VAL = 1_000_000  # first validation sample id (relguide.cli.VAL_ID_OFFSET)
@@ -60,13 +71,18 @@ COMMANDS = [
 ]
 
 
-def run_tree(tree: str, work: str) -> None:
-    """Run every command with the relguide package under `tree`/src."""
+SERVING = [argv for argv in COMMANDS if argv[0] in ("evaluate", "explain", "retrieve")]
+# what the serving commands read of the other commands' outputs
+SERVING_INPUTS = ["data/train.rgtd", "data/val.rgtd", "plain/weights.rgtw", "guided/weights.rgtw"]
+
+
+def run_tree(tree: str, work: str, commands=COMMANDS) -> None:
+    """Run `commands` with the relguide package under `tree`/src."""
     env = dict(os.environ, **BLAS_ENV, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     for name, cfg in CONFIGS.items():
         with open(os.path.join(work, name), "w") as f:
             json.dump(cfg, f)
-    for argv in COMMANDS:
+    for argv in commands:
         proc = subprocess.run([sys.executable, "-m", "relguide", *argv], cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -95,6 +111,62 @@ def outputs(work: str) -> dict:
     return found
 
 
+def read_weights(blob: bytes) -> dict:
+    """Tensor name -> float32 array of a .rgtw file: magic, u32 version and
+    count, then per tensor a u16-length name, u32 rank, u32 dims, f32 data."""
+    count = int(np.frombuffer(blob, "<u4", 1, 8)[0])
+    tensors, pos = {}, 12
+    for _ in range(count):
+        nlen = int(np.frombuffer(blob, "<u2", 1, pos)[0])
+        name = blob[pos + 2 : pos + 2 + nlen].decode()
+        pos += 2 + nlen
+        rank = int(np.frombuffer(blob, "<u4", 1, pos)[0])
+        dims = [int(d) for d in np.frombuffer(blob, "<u4", rank, pos + 4)]
+        pos += 4 + 4 * rank
+        size = int(np.prod(dims))
+        tensors[name] = np.frombuffer(blob, "<f4", size, pos)
+        pos += 4 * size
+    return tensors
+
+
+def read_columns(blob: bytes) -> dict:
+    """Column name -> float64 array of a metrics CSV."""
+    header, *rows = blob.decode().split()
+    values = np.array([[float(v) for v in row.split(",")] for row in rows])
+    return dict(zip(header.split(","), values.T))
+
+
+def drift(path: str, a: bytes, b: bytes) -> list:
+    """'name: |d|/max' lines for each tensor or column of a differing weight
+    file or metrics CSV, relative to its largest |entry| under SRC_A."""
+    if path.endswith(".rgtw"):
+        ta, tb = read_weights(a), read_weights(b)
+    elif os.path.basename(path) == "metrics.csv":
+        ta, tb = read_columns(a), read_columns(b)
+    else:
+        return []
+    lines = []
+    for name in ta:
+        if name in tb and ta[name].shape == tb[name].shape:
+            delta = np.abs(ta[name].astype(np.float64) - tb[name]).max()
+            peak = np.abs(ta[name]).max()
+            rel = delta / peak if peak else delta
+            lines.append(f"  {name}: max |d| {delta:.3g}, {rel:.3g} of max |entry|")
+    return lines
+
+
+def compare(a: dict, b: dict, title: str) -> int:
+    """Print the files that differ between two output sets; return their count."""
+    differing = sorted(p for p in set(a) | set(b) if a.get(p) != b.get(p))
+    for path in differing:
+        side = "" if path in a and path in b else f" (only under {'SRC_A' if path in a else 'SRC_B'})"
+        print(f"differs: {path}{side}")
+        for line in drift(path, a[path], b[path]) if not side else ():
+            print(line)
+    print(f"{title}: {len(set(a) | set(b))} files compared, {len(differing)} differ")
+    return len(differing)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("src_a", help="root of the first relguide checkout")
@@ -107,12 +179,18 @@ def main() -> int:
             os.makedirs(work)
             run_tree(tree, work)
             found.append(outputs(work))
+        shared = os.path.join(tmp, "shared")
+        for rel in SERVING_INPUTS:
+            os.makedirs(os.path.dirname(os.path.join(shared, rel)), exist_ok=True)
+            shutil.copyfile(os.path.join(tmp, "0", rel), os.path.join(shared, rel))
+        run_tree(args.src_b, shared, SERVING)
+        served = outputs(shared)
     a, b = found
-    differing = sorted(p for p in set(a) | set(b) if a.get(p) != b.get(p))
-    for path in differing:
-        side = "" if path in a and path in b else f" (only under {'SRC_A' if path in a else 'SRC_B'})"
-        print(f"differs: {path}{side}")
-    print(f"{len(set(a) | set(b))} files compared, {len(differing)} differ")
+    differing = compare(a, b, "all commands")
+    out_dirs = {argv[argv.index("--out") + 1] for argv in SERVING}
+    a_served = {p: v for p, v in a.items() if p.split(os.sep)[0] in out_dirs}
+    served = {p: v for p, v in served.items() if p.split(os.sep)[0] in out_dirs}
+    differing += compare(a_served, served, "serving on SRC_A's weights")
     return 1 if differing else 0
 
 

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .lrp import LRPRuleConfig, relevance_transpose
+from .lrp import LRPRuleConfig, relevance_transpose, transpose_terms
 from .network import ActivationTrace, Model, forward_with_trace
 
 
@@ -91,7 +91,8 @@ def unit_relevance(
     grid: int = 8,
 ) -> UnitRelevance:
     """Pooled relevance of every unit at `layer_index` for one traced input
-    (traced at least that far), from one transposed pass per grid row."""
+    (traced at least that far), from one transposed pass per grid row; the
+    rows share one computation of the rule terms."""
     rules = rules or LRPRuleConfig()
     if len(model.input_shape) != 3:
         raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
@@ -103,8 +104,9 @@ def unit_relevance(
     g2 = grid * grid
     markers = np.eye(g2).reshape(g2, 1, grid, 1, grid, 1)
     tangents = np.broadcast_to(markers, (g2, c, grid, h // grid, grid, w // grid))
+    terms = transpose_terms(model, trace, layer_index, rules)
     t = np.concatenate([
-        relevance_transpose(model, trace, layer_index, row.reshape(grid, c, h, w), rules)
+        relevance_transpose(model, trace, layer_index, row.reshape(grid, c, h, w), rules, terms)
         for row in np.split(tangents, grid)
     ])
     emb = trace.tensors[layer_index].data.reshape(-1)

@@ -14,6 +14,12 @@ Relevance propagation is expressed with these same primitives (see
 ``relguide.lrp``), which is what makes a relevance-dependent loss term
 trainable: one ``backward`` call differentiates through the whole two-path
 graph.
+
+The gradient of a parameter matrix that meets a vector in a product (a
+dense layer's ``W @ x``, or the relevance path's ``W.T @ s``) is a rank-1
+outer product. ``backward`` keeps such gradients as :class:`FactorPairs`
+rather than forming them, and :class:`GradientSum` sums a mini-batch's
+pairs with one GEMM per weight; :func:`grad_for` returns them dense.
 """
 
 from __future__ import annotations
@@ -187,10 +193,6 @@ def flatten(a: Tensor) -> Tensor:
     return reshape(a, (a.data.size,))
 
 
-def transpose2d(a: Tensor) -> Tensor:
-    return Tensor(a.data.T, (a,), lambda g: (g.T,), dtype=None)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), (a,), dtype=None)
     out.bwd = lambda g: (np.full(a.data.shape, g, dtype=a.data.dtype),)
@@ -211,18 +213,58 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 # linear algebra
 # ---------------------------------------------------------------------------
 
+class FactorPairs:
+    """A matrix gradient kept as rank-1 factor pairs: the sum over k of
+    ``np.outer(us[k], vs[k])``. Only leaves (parameters) receive these;
+    every other node's gradient is an ndarray."""
+
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us: list, vs: list):
+        self.us = us
+        self.vs = vs
+
+    def materialize(self) -> np.ndarray:
+        """U @ V with U = (out, K) and V = (K, in): one GEMM for all pairs."""
+        return np.array(self.us).T @ np.array(self.vs)
+
+
+def _outer(u: np.ndarray, v: np.ndarray, leaf: bool):
+    return FactorPairs([u], [v]) if leaf else np.outer(u, v)
+
+
+def _check_matmul(name: str, ad: np.ndarray, bd: np.ndarray, inner: int) -> None:
+    if ad.ndim != 2 or bd.ndim not in (1, 2):
+        raise DimensionError(f"{name} supports 2-D and 1/2-D operands, got {ad.shape}, {bd.shape}")
+    if ad.shape[inner] != bd.shape[0]:
+        raise DimensionError(f"{name} inner dims differ: {ad.shape}, {bd.shape}")
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D @ 2-D or 2-D @ 1-D matrix product."""
     ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2):
-        raise DimensionError(f"matmul supports 2-D @ 1/2-D, got {ad.shape} @ {bd.shape}")
-    if ad.shape[1] != bd.shape[0]:
-        raise DimensionError(f"matmul inner dims differ: {ad.shape} @ {bd.shape}")
+    _check_matmul("matmul", ad, bd, 1)
     out = Tensor(ad @ bd, (a, b), dtype=None)
     if bd.ndim == 1:
-        out.bwd = lambda g: (np.outer(g, bd), ad.T @ g)
+        leaf = not a.parents
+        out.bwd = lambda g: (_outer(g, bd, leaf), ad.T @ g)
     else:
         out.bwd = lambda g: (g @ bd.T, ad.T @ g)
+    return out
+
+
+def matmul_t(a: Tensor, b: Tensor) -> Tensor:
+    """a.T @ b for a 2-D `a` and a 1-D or 2-D `b`, reading `a` in its own
+    layout: no transposed copy, and `a`'s gradient comes in `a`'s shape."""
+    ad, bd = a.data, b.data
+    _check_matmul("matmul_t", ad, bd, 0)
+    if bd.ndim == 1:
+        out = Tensor(bd @ ad, (a, b), dtype=None)
+        leaf = not a.parents
+        out.bwd = lambda g: (_outer(bd, g, leaf), ad @ g)
+    else:
+        out = Tensor(ad.T @ bd, (a, b), dtype=None)
+        out.bwd = lambda g: (bd @ g.T, ad @ g)
     return out
 
 
@@ -426,43 +468,94 @@ def _toposort(root: Tensor) -> list:
 def backward(root: Tensor, seed: float = 1.0, keep: Iterable[Tensor] = ()) -> dict:
     """Gradients of a scalar `root` w.r.t. every leaf tensor in its graph.
 
-    Returns {tensor: ndarray}. Intermediate gradients are dropped as soon as
-    their parents are served; pass tensors in ``keep`` to retain theirs too.
-    Leaves that do not influence `root` are simply absent (i.e. zero).
+    Returns {tensor: gradient}. A gradient is an ndarray, except that a leaf
+    matrix reached only through matrix-vector products gets
+    :class:`FactorPairs` (the pairs of every product, concatenated; a pair
+    that meets an ndarray is formed and added). :func:`grad_for` and
+    :class:`GradientSum` form them. Intermediate gradients are dropped as
+    soon as their parents are served; pass tensors in ``keep`` to retain
+    theirs too. Leaves that do not influence `root` are simply absent (i.e.
+    zero).
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {root.data.shape}")
     keep_ids = {id(t) for t in keep}
     order = _toposort(root)
     grads: dict = {root: np.asarray(seed, dtype=root.data.dtype).reshape(root.data.shape)}
-    # arrays we allocated ourselves and may accumulate into in place;
-    # first-stored arrays may alias op internals, so the first addition copies
     owned: set = set()
     for node in reversed(order):
         g = grads.get(node)
         if g is None or node.bwd is None:
             continue
         for p, pg in zip(node.parents, node.bwd(g)):
-            if pg is None:
-                continue
-            acc = grads.get(p)
-            if acc is None:
-                grads[p] = pg
-            elif id(acc) in owned and isinstance(acc, np.ndarray) and acc.ndim:
-                np.add(acc, pg, out=acc)
-            else:
-                fresh = acc + pg
-                grads[p] = fresh
-                owned.add(id(fresh))
+            if pg is not None:
+                _accumulate(grads, p, pg, owned)
         if node.parents and id(node) not in keep_ids and node is not root:
             g_old = grads.pop(node)
             owned.discard(id(g_old))
     return grads
 
 
+def _accumulate(grads: dict, key, g, owned: set) -> None:
+    """Add gradient `g` to ``grads[key]``. Only entries whose ids are in
+    `owned` were allocated here and are added to in place; a first-stored
+    entry may alias op internals or a caller's result, so the first addition
+    copies. Factor pairs concatenate; a pair that meets an ndarray is formed."""
+    acc = grads.get(key)
+    if acc is None:
+        grads[key] = g
+    elif isinstance(acc, FactorPairs) and isinstance(g, FactorPairs):
+        if id(acc) not in owned:
+            acc = grads[key] = FactorPairs(list(acc.us), list(acc.vs))
+            owned.add(id(acc))
+        acc.us += g.us
+        acc.vs += g.vs
+    elif (id(acc) in owned and isinstance(acc, np.ndarray) and acc.ndim
+          and isinstance(g, np.ndarray)):
+        np.add(acc, g, out=acc)
+    else:
+        fresh = _materialize(acc) + _materialize(g)
+        owned.discard(id(acc))  # a freed id may be reused by an array we do not own
+        grads[key] = fresh
+        owned.add(id(fresh))
+
+
+def _materialize(g) -> np.ndarray:
+    return g.materialize() if isinstance(g, FactorPairs) else g
+
+
 def grad_for(grads: dict, t: Tensor) -> np.ndarray:
-    """Gradient of `t` from a backward() result, zero if unused."""
+    """Gradient of `t` from a backward() result as an ndarray, zero if
+    unused."""
     g = grads.get(t)
     if g is None:
         return np.zeros_like(t.data)
-    return g
+    return _materialize(g)
+
+
+class GradientSum:
+    """Sum of per-sample gradients over a mini-batch, by parameter name.
+
+    :meth:`add` takes one backward() result and accumulates it as backward
+    does: ndarray gradients in sample order, so their sum has the bits of a
+    sequential one, and factor pairs concatenated. :meth:`total` forms each
+    factored weight with one GEMM. A parameter a sample does not reach adds
+    zero.
+    """
+
+    def __init__(self, params: dict):
+        self.params = params  # name -> leaf Tensor
+        self.sums: dict = {}
+        self.owned: set = set()
+
+    def add(self, grads: dict) -> None:
+        for name, t in self.params.items():
+            if t in grads:
+                _accumulate(self.sums, name, grads[t], self.owned)
+
+    def total(self) -> dict:
+        """{name: ndarray} for every parameter."""
+        return {
+            name: _materialize(self.sums[name]) if name in self.sums else np.zeros_like(t.data)
+            for name, t in self.params.items()
+        }

@@ -112,7 +112,7 @@ def _epsilon_graph(r, z, weight_t, a_in, rules, geom=None):
     (C_out, L) matrix form, `weight_t` is the flattened kernel and `geom`
     folds the result back to (C,H,W)."""
     s = engine.stabilized_ratio(r, z, rules.epsilon)
-    c = engine.matmul(engine.transpose2d(weight_t), s)
+    c = engine.matmul_t(weight_t, s)
     if geom is not None:
         cc, hh, ww, k, stride, padding, _, _ = geom
         c = engine.col2im_op(c, cc, hh, ww, k, stride, padding)
@@ -194,7 +194,7 @@ def _alphabeta_graph(rmat, weight_t, ctx, rules, kind, geom=None):
             continue
         z_part = _part_preactivation_graph(w_part, sign, ctx, kind)
         s = engine.stabilized_ratio(rmat, z_part, rules.epsilon, sign=sign)
-        term = engine.matmul(engine.transpose2d(w_part), s)
+        term = engine.matmul_t(w_part, s)
         if geom is not None:
             cc, hh, ww, k, stride, padding, _, _ = geom
             term = engine.col2im_op(term, cc, hh, ww, k, stride, padding)
@@ -321,12 +321,24 @@ def _split_parts(w, bias, rules):
     return parts
 
 
+def transpose_terms(model: Model, trace: ActivationTrace, stop_index: int, rules) -> dict:
+    """{layer index: rule terms} of every conv and dense layer below
+    `stop_index`: what :func:`relevance_transpose` reads of the weights, so
+    passes over one trace can share it."""
+    return {
+        li: _rule_terms(model, trace, li, rules)
+        for li in range(stop_index)
+        if model.layers[li].kind in ("conv", "dense")
+    }
+
+
 def relevance_transpose(
     model: Model,
     trace: ActivationTrace,
     stop_index: int,
     tangents: np.ndarray,
     rules: Optional[LRPRuleConfig] = None,
+    terms: Optional[dict] = None,
 ) -> np.ndarray:
     """Adjoint of :func:`relevance_stack`: carry `tangents` (M stacked maps
     shaped like the input) up to trace position `stop_index` through the
@@ -337,7 +349,9 @@ def relevance_transpose(
     Seeding relevance_stack with one unit at a time costs one map per unit;
     a tangent that marks one input region gives that region's share of every
     unit's relevance at once. The pass keeps the tangents' dtype, so float64
-    tangents give a float64 pass over the float32 activations.
+    tangents give a float64 pass over the float32 activations. `terms`, from
+    :func:`transpose_terms` for the same trace, position and rules, skips
+    recomputing them.
     """
     rules = rules or LRPRuleConfig()
     if not 0 <= stop_index < len(trace):
@@ -345,15 +359,17 @@ def relevance_transpose(
     in_shape = trace.tensors[0].data.shape
     if tangents.shape[1:] != in_shape:
         raise ConfigError(f"tangent shape {tangents.shape[1:]} does not match input {in_shape}")
+    if terms is None:
+        terms = transpose_terms(model, trace, stop_index, rules)
     t = tangents
     for li in range(stop_index):
         spec = model.layers[li]
         cache = trace.caches[li]
         if spec.kind == "conv":
-            t = _conv_forward_transpose(t, cache, _rule_terms(model, trace, li, rules))
+            t = _conv_forward_transpose(t, cache, terms[li])
         elif spec.kind == "dense":
             u = t * cache["in"].data[None]
-            t = _apply_terms(u[..., None], _rule_terms(model, trace, li, rules))[..., 0]
+            t = _apply_terms(u[..., None], terms[li])[..., 0]
         elif spec.kind == "maxpool":
             t = kernels.pool_gather(t, cache["idx"], spec.window, spec.stride)
         elif spec.kind == "flatten":

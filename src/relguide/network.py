@@ -330,6 +330,8 @@ def _model_from_tensor_shapes(tensors: dict) -> Model:
     in_channels = conv_shapes[0][1]
     dense_units, flat = dense_shapes[0]
     n_classes = dense_shapes[1][0]
+    if n_classes != 2:  # evaluate, the score means and the metrics CSV are two-class
+        raise FormatError(f"weight file has {n_classes} outputs; relguide models have 2 classes")
     spatial = flat // channels[-1]
     side = int(round(np.sqrt(spatial))) * (2 ** len(channels))
     layers = default_layers(channels, dense_units, n_classes)

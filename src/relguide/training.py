@@ -207,9 +207,10 @@ class Adam:
 # training loop
 # ---------------------------------------------------------------------------
 
-def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale):
-    """Build the per-sample graph (one or two paths) and return
-    (loss_value, score_value, {param_name: grad})."""
+def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale, batch_grads):
+    """Build the per-sample graph (one or two paths), add its parameter
+    gradients to the :class:`engine.GradientSum` `batch_grads` and return
+    (loss_value, score_value). The graph is freed on return."""
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
     logits, trace = forward_with_trace(model, sample.image, training=True, rng=rng)
     score_value = 1.0
@@ -235,11 +236,8 @@ def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale):
         raise NumericalError(
             f"non-finite loss on sample {sample.sample_id} (score {score_value:.6g})"
         )
-    grads = engine.backward(loss, seed=grad_scale)
-    named = {
-        name: engine.grad_for(grads, model.params[name]) for name in model.param_names()
-    }
-    return float(loss.data), score_value, named
+    batch_grads.add(engine.backward(loss, seed=grad_scale))
+    return float(loss.data), score_value
 
 
 def train(
@@ -279,20 +277,15 @@ def train(
         for start in range(0, len(order), train_cfg.batch_size):
             batch_idx = order[start : start + train_cfg.batch_size]
             scale = 1.0 / len(batch_idx)
-            batch_grads = None
+            batch_grads = engine.GradientSum(model.params)
             for i in batch_idx:  # fixed-order reduction
                 s = train_set[int(i)]
                 if train_cfg.augment:
                     s = augment(s, aug_rng)
                 dseed = int(drop_rng.integers(0, 2**63 - 1))
-                loss_val, _, named = _sample_loss_and_grads(model, s, loss_cfg, dseed, scale)
+                loss_val, _ = _sample_loss_and_grads(model, s, loss_cfg, dseed, scale, batch_grads)
                 losses.append(loss_val)
-                if batch_grads is None:
-                    batch_grads = named
-                else:
-                    for name, g in named.items():
-                        batch_grads[name] = batch_grads[name] + g
-            opt.step(batch_grads)
+            opt.step(batch_grads.total())
         acc, f1w, s0, s1 = evaluate(
             model, val_set, loss_cfg.rules, loss_cfg.score_variant, METRICS_FLOOR
         )

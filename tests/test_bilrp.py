@@ -1,6 +1,7 @@
 """Joint (second-order) similarity explanation: factorization oracle,
 conservation of the matrix total, symmetry, and the export format."""
 
+import importlib
 import json
 
 import numpy as np
@@ -19,6 +20,8 @@ from relguide.lrp import LRPRuleConfig, relevance_transpose
 from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
 
 from helpers import bilrp_reference, random_conv_net
+
+lrp_module = importlib.import_module("relguide.lrp")  # the package exports a function `lrp`
 
 EPS0 = LRPRuleConfig.uniform("epsilon", epsilon=0.0)
 EPS = LRPRuleConfig.uniform("epsilon", epsilon=1e-6)
@@ -211,6 +214,33 @@ class TestUnitRelevanceRows:
             want = np.ascontiguousarray(t.reshape(g2, -1).T) * emb[:, None]
             got = unit_relevance(model, trace, layer, rules, grid).pooled
             assert got.tobytes() == want.tobytes(), layer
+
+    def test_rule_terms_computed_once_per_call(self, rng, monkeypatch):
+        """The grid rows share one computation of each layer's rule terms,
+        and sharing them leaves the bytes as they are."""
+        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        x = rng.random((3, 32, 32)).astype(np.float32)
+        _, trace = forward_with_trace(model, x)
+        rules = LRPRuleConfig.uniform("alphabeta", alpha=2.0, beta=1.0)
+        layer = len(model.layers)
+        grid, g2 = 8, 64
+        tangents = np.zeros((g2, 3, grid, 4, grid, 4))
+        for p in range(g2):
+            tangents[p, :, p // grid, :, p % grid, :] = 1.0
+        rows = [  # each row's pass computing its own terms
+            relevance_transpose(model, trace, layer, row.reshape(grid, 3, 32, 32), rules)
+            for row in np.split(tangents, grid)
+        ]
+        emb = trace.tensors[layer].data.reshape(-1)
+        fresh = np.ascontiguousarray(np.concatenate(rows).reshape(g2, -1).T) * emb[:, None]
+        calls = []
+        rule_terms = lrp_module._rule_terms
+        monkeypatch.setattr(lrp_module, "_rule_terms",
+                            lambda *a: calls.append(a[2]) or rule_terms(*a))
+        shared = unit_relevance(model, trace, layer, rules, grid).pooled
+        linear = [li for li, spec in enumerate(model.layers) if spec.kind in ("conv", "dense")]
+        assert sorted(calls) == linear
+        assert shared.tobytes() == fresh.tobytes()
 
 
 class TestTopConnections:

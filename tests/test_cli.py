@@ -15,7 +15,13 @@ from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, read_heatmap_csv
 from relguide.errors import FormatError
-from relguide.network import forward_with_trace, load_weights, read_weight_tensors
+from relguide.network import (
+    build_default_model,
+    forward_with_trace,
+    load_weights,
+    read_weight_tensors,
+    save_weights,
+)
 from relguide.bilrp import similarity
 from relguide.training import evaluate, lesion_relevance_score, read_metrics_csv
 
@@ -558,6 +564,19 @@ class TestCorruptHeaders:
         data = path if fmt == "dataset" else workspace / "data" / "val.rgtd"
         code = run_cli("evaluate", "--weights", str(weights), "--data", str(data),
                        "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_weights_without_two_outputs(self, workspace, tmp_path, capsys, n_classes):
+        model = build_default_model((3, 32, 32), seed=1, conv_channels=(4, 4), dense_units=8,
+                                    n_classes=n_classes)
+        path = tmp_path / "bad.rgtw"
+        save_weights(model, path)
+        with pytest.raises(FormatError, match=f"{n_classes} outputs"):
+            load_weights(path)
+        code = run_cli("evaluate", "--weights", str(path), "--data",
+                       str(workspace / "data" / "val.rgtd"), "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1 and "Traceback" not in err
 

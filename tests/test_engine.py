@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from relguide import engine as E
 from relguide.engine import Tensor
 from relguide.errors import DimensionError
-from relguide.network import forward_with_trace
+from relguide.lrp import LRPRuleConfig, relevance_graph
+from relguide.network import Model, forward_with_trace
 
 from helpers import (
     central_diff,
@@ -224,6 +225,92 @@ class TestBackward:
         arrays = [p.data for p in params_of(m64)]
         analytic = [E.grad_for(grads, p) for p in params_of(m64)]
         check_gradients(lambda: run().item(), arrays, analytic, h=1e-3)
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def _two_path_loss(model, x, probe):
+    """Cross-entropy plus a probe of the epsilon-rule input relevance: every
+    dense weight feeds a forward matvec and a transposed product."""
+    logits, trace = forward_with_trace(model, Tensor(x, dtype=None))
+    rel = relevance_graph(model, trace, 0, LRPRuleConfig.uniform("epsilon", epsilon=1e-6))
+    probed = E.sum_all(E.mul(rel[0], Tensor(probe, dtype=None)))
+    return E.add(E.softmax_cross_entropy(logits, 1), probed)
+
+
+class TestFactoredGradients:
+    """A parameter matrix reached through matrix-vector products gets its
+    gradient as factor pairs; grad_for and GradientSum form it."""
+
+    def test_matvec_and_transposed_product_by_hand(self, rng):
+        w = Tensor(rng.normal(size=(3, 5)), dtype=None)
+        x = Tensor(rng.normal(size=5), dtype=None)
+        k, probe = rng.normal(size=3), rng.normal(size=5)
+        s = E.mul(E.matmul(w, x), Tensor(k, dtype=None))
+        c = E.matmul_t(w, s)
+        np.testing.assert_allclose(c.data, w.data.T @ s.data, rtol=1e-14)
+        grads = E.backward(E.sum_all(E.mul(c, Tensor(probe, dtype=None))))
+        assert isinstance(grads[w], E.FactorPairs) and len(grads[w].us) == 2
+        # c = W^T s gives outer(s, probe); s = k * (W x) gives outer(k * (W probe), x)
+        want = np.outer(s.data, probe) + np.outer(k * (w.data @ probe), x.data)
+        got = E.grad_for(grads, w)
+        assert got.shape == w.data.shape and got.flags.c_contiguous
+        assert _rel_err(got, want) <= 1e-12
+
+    def test_two_path_net_equals_outer_products(self, rng):
+        """The same graph with every parameter behind a reshape (a non-leaf,
+        so each product forms np.outer) gives the same gradients."""
+        model, x = random_conv_net(rng, depth=1, with_pool=True)
+        m64 = model.astype(np.float64)
+        x64, probe = x.astype(np.float64), rng.normal(size=x.shape)
+        factored = E.backward(_two_path_loss(m64, x64, probe))
+        behind = {k: E.reshape(t, t.data.shape) for k, t in m64.params.items()}
+        outer = E.backward(_two_path_loss(
+            Model(m64.layers, behind, m64.input_shape, m64.n_classes), x64, probe))
+        weight = m64.params["layer4.weight"]
+        assert isinstance(factored[weight], E.FactorPairs)
+        for name, t in m64.params.items():
+            got, want = E.grad_for(factored, t), E.grad_for(outer, t)
+            assert got.shape == t.data.shape and got.flags.c_contiguous, name
+            assert _rel_err(got, want) <= 1e-12, name
+
+    def test_batch_sum(self, rng):
+        """Factored weights sum to the per-sample dense sum; every other
+        parameter sums to the bits of a sequential sum."""
+        model, _ = random_conv_net(rng, depth=2, with_pool=True)
+        m64 = model.astype(np.float64)
+        samples = [
+            E.backward(_two_path_loss(m64, rng.normal(size=model.input_shape),
+                                      rng.normal(size=model.input_shape)), seed=0.25)
+            for _ in range(4)
+        ]
+        batch = E.GradientSum(m64.params)
+        for grads in samples:
+            batch.add(grads)
+        total = batch.total()
+        kinds = set()
+        for name, t in m64.params.items():
+            per_sample = [E.grad_for(grads, t) for grads in samples]
+            factored = isinstance(samples[0][t], E.FactorPairs)
+            kinds.add(factored)
+            if factored:
+                assert _rel_err(total[name], sum(per_sample)) <= 1e-12, name
+            else:
+                want = per_sample[0]
+                for g in per_sample[1:]:
+                    want = want + g
+                assert total[name].tobytes() == want.tobytes(), name
+        assert kinds == {True, False}
+
+    def test_batch_sum_of_unreached_parameter_is_zero(self):
+        used, unused = Tensor(np.ones((2, 3))), Tensor(np.ones(4))
+        batch = E.GradientSum({"used": used, "unused": unused})
+        batch.add(E.backward(E.sum_all(E.matmul(used, Tensor(np.arange(3.0))))))
+        total = batch.total()
+        np.testing.assert_array_equal(total["unused"], np.zeros(4, dtype=np.float32))
+        np.testing.assert_array_equal(total["used"], [[0.0, 1.0, 2.0]] * 2)
 
 
 class TestBroadcasting:

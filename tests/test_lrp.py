@@ -252,24 +252,28 @@ class TestDifferentiability:
         )
 
     def test_gradient_through_alphabeta(self, rng):
+        """alpha1-beta0 and alpha2-beta1. relu(W) is a non-leaf matrix, so its
+        products form np.outer; the weight's own forward matvec gives factor
+        pairs that meet them."""
         model, x = random_dense_net(rng, widths=[4])
         m64 = model.astype(np.float64)
         x64 = x.astype(np.float64)
         probe = np.random.default_rng(5).normal(size=x.shape)
-        rules = LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=1.0, beta=0.0)
+        for alpha, beta in ((1.0, 0.0), (2.0, 1.0)):
+            rules = LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=alpha, beta=beta)
 
-        def run():
-            _, trace = forward_with_trace(m64, Tensor(x64, dtype=None))
-            rel = relevance_graph(m64, trace, 1, rules)
-            return E.sum_all(E.mul(rel[0], Tensor(probe, dtype=None)))
+            def run():
+                _, trace = forward_with_trace(m64, Tensor(x64, dtype=None))
+                rel = relevance_graph(m64, trace, 1, rules)
+                return E.sum_all(E.mul(rel[0], Tensor(probe, dtype=None)))
 
-        out = run()
-        grads = E.backward(out)
-        arrays = [p.data for p in params_of(m64)]
-        analytic = [E.grad_for(grads, p) for p in params_of(m64)]
-        check_gradients(
-            lambda: run().item(), arrays, analytic, h=1e-5, rel_tol=1e-2, abs_cutoff=1e-5
-        )
+            out = run()
+            grads = E.backward(out)
+            arrays = [p.data for p in params_of(m64)]
+            analytic = [E.grad_for(grads, p) for p in params_of(m64)]
+            check_gradients(
+                lambda: run().item(), arrays, analytic, h=1e-5, rel_tol=1e-2, abs_cutoff=1e-5
+            )
 
 
 class TestNumericalGuard:
