@@ -1,8 +1,8 @@
 """Relevance-guided CNN training toolkit.
 
 A small dependency-light stack for explanation-guided image classification:
-a reverse-mode autodiff engine, layer-wise relevance propagation expressed
-in its primitives (so relevance is differentiable and can steer training),
+a reverse-mode autodiff engine, layer-wise relevance propagation as nodes
+of its graph (so relevance is differentiable and can steer training),
 a mask-attention loss, second-order similarity explanations, deep-kNN
 retrieval over hidden activations, and a synthetic lesion task with a
 spurious distractor for controlled experiments.

@@ -10,10 +10,10 @@ Values are float32 by default. Ops preserve the dtype of their inputs, so a
 float64 replica of a model can be pushed through the same code when an
 oracle needs extra precision.
 
-Relevance propagation is expressed with these same primitives (see
-``relguide.lrp``), which is what makes a relevance-dependent loss term
-trainable: one ``backward`` call differentiates through the whole two-path
-graph.
+Relevance propagation runs in the same graph (see ``relguide.lrp``: one
+node per conv or dense rule step, with a hand-written backward), which is
+what makes a relevance-dependent loss term trainable: one ``backward`` call
+differentiates through the whole two-path graph.
 
 The gradient of a parameter matrix that meets a vector in a product (a
 dense layer's ``W @ x``, or the relevance path's ``W.T @ s``) is a rank-1
@@ -24,7 +24,7 @@ pairs with one GEMM per weight; :func:`grad_for` returns them dense.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -292,12 +292,6 @@ def im2col_op(x: Tensor, k: int, stride: int, padding: int) -> Tensor:
     return out
 
 
-def col2im_op(cols: Tensor, c: int, h: int, w: int, k: int, stride: int, padding: int) -> Tensor:
-    out = Tensor(kernels.col2im(cols.data, c, h, w, k, stride, padding), (cols,), dtype=None)
-    out.bwd = lambda g: (kernels.im2col(g, k, stride, padding),)
-    return out
-
-
 def conv2d_with_cache(
     x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 ):
@@ -405,43 +399,6 @@ def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# relevance-specific primitive
-# ---------------------------------------------------------------------------
-
-def stabilized_ratio(r: Tensor, z: Tensor, eps_scale: float, sign: int = 0) -> Tensor:
-    """r / (z + eps*dir(z)) with eps = eps_scale * mean|z|.
-
-    Fully differentiated, including the dependence of eps on z. A zero
-    denominator yields 0 (such units carry no contributions). ``sign``
-    forces the stabilizer direction (+1/-1) for single-signed inputs; 0
-    uses sign(z) with sign(0) := +1.
-    """
-    zd = z.data
-    denom = kernels.stab_denominator(zd, eps_scale, sign)
-    nonzero = denom != 0
-    safe = np.where(nonzero, denom, 1)
-    out_data = np.where(nonzero, r.data / safe, 0)
-    out = Tensor(out_data, (r, z), dtype=None)
-    if sign == 0:
-        direction = kernels.stable_sign(zd)
-    else:
-        direction = np.asarray(float(sign), dtype=zd.dtype)
-
-    def bwd(g):
-        gr = np.where(nonzero, g / safe, 0)
-        core = np.where(nonzero, g * out_data / safe, 0)
-        gz = -core
-        if eps_scale > 0:
-            # d eps/dz_j = eps_scale * sign(z_j) / N couples every element
-            coupling = float((core * direction).sum()) * eps_scale / zd.size
-            gz = gz - coupling * np.sign(zd)
-        return gr, gz
-
-    out.bwd = bwd
-    return out
-
-
-# ---------------------------------------------------------------------------
 # backward driver
 # ---------------------------------------------------------------------------
 
@@ -465,34 +422,33 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def backward(root: Tensor, seed: float = 1.0, keep: Iterable[Tensor] = ()) -> dict:
+def backward(root: Tensor, seed: float = 1.0) -> dict:
     """Gradients of a scalar `root` w.r.t. every leaf tensor in its graph.
 
-    Returns {tensor: gradient}. A gradient is an ndarray, except that a leaf
-    matrix reached only through matrix-vector products gets
+    Returns {leaf tensor: gradient}; no other node is a key, so the result
+    does not keep the graph alive. A gradient is an ndarray, except that a
+    leaf matrix reached only through matrix-vector products gets
     :class:`FactorPairs` (the pairs of every product, concatenated; a pair
     that meets an ndarray is formed and added). :func:`grad_for` and
     :class:`GradientSum` form them. Intermediate gradients are dropped as
-    soon as their parents are served; pass tensors in ``keep`` to retain
-    theirs too. Leaves that do not influence `root` are simply absent (i.e.
-    zero).
+    soon as their parents are served. Leaves that do not influence `root`
+    are simply absent (i.e. zero).
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar output, got shape {root.data.shape}")
-    keep_ids = {id(t) for t in keep}
     order = _toposort(root)
     grads: dict = {root: np.asarray(seed, dtype=root.data.dtype).reshape(root.data.shape)}
     owned: set = set()
     for node in reversed(order):
-        g = grads.get(node)
+        if not node.parents:
+            continue
+        g = grads.pop(node, None)
         if g is None or node.bwd is None:
             continue
+        owned.discard(id(g))
         for p, pg in zip(node.parents, node.bwd(g)):
             if pg is not None:
                 _accumulate(grads, p, pg, owned)
-        if node.parents and id(node) not in keep_ids and node is not root:
-            g_old = grads.pop(node)
-            owned.discard(id(g_old))
     return grads
 
 

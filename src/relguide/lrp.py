@@ -19,31 +19,35 @@ the recorded argmax (winner-take-all), flatten reshapes. Biases absorb
 their share of relevance rather than redistributing it, so conservation is
 exact only on bias-free networks.
 
-Two implementations of the same rules exist on purpose, plus the transpose
-of the second:
+Each rule is written once, as the terms :func:`_rule_terms` builds for a
+layer: a term passes relevance r down as ``coef * rho(W)^T (r / denom)``
+times the layer input (Montavon et al., "Layer-Wise Relevance Propagation:
+An Overview", 2019). Three routes run those terms:
 
-* :func:`relevance_graph` builds the propagation out of autodiff primitives
-  on a traced forward graph. That makes the input relevance — and anything
-  derived from it, such as a mask-attention score inside a loss — a
-  differentiable function of the model parameters. Training uses it.
+* :func:`relevance_graph` adds the propagation to a traced forward graph,
+  one node per conv or dense rule step with a hand-written backward. That
+  makes the input relevance — and anything derived from it, such as a
+  mask-attention score inside a loss — a differentiable function of the
+  model parameters. Training uses it.
 * :func:`relevance_stack` propagates a whole stack of relevance seeds at
   once on the ndarray values of a traced forward pass, outside the graph.
-  Evaluation and explanation use it, through :func:`input_relevance`.
+  Evaluation and explanation use it, through :func:`input_relevance`. Its
+  values for one seed are those of the graph route, bit for bit.
 * :func:`relevance_transpose` is the adjoint of :func:`relevance_stack` for
   the same activations: it carries a stack of input-shaped tangents up to a
   hidden position through the transposed rules. BiLRP uses it to get every
   unit's relevance pooled to input patches in one pass per input.
 
-All three share their kernels and stabilizer arithmetic; the graph and
-stacked routes are cross-checked in the test suite, and the transpose is
-checked against the stacked route by a dot-product test.
+The test suite checks the graph route's gradients against finite
+differences and against a reference built from autodiff primitives, and
+the transpose against the stacked route by a dot-product test.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -106,30 +110,6 @@ class RelevanceMap:
 # graph route (differentiable)
 # ---------------------------------------------------------------------------
 
-def _epsilon_graph(r, z, weight_t, a_in, rules, geom=None):
-    """Epsilon-rule redistribution of relevance r at one linear layer's
-    output to its input, as a graph expression. For conv layers r/z are in
-    (C_out, L) matrix form, `weight_t` is the flattened kernel and `geom`
-    folds the result back to (C,H,W)."""
-    s = engine.stabilized_ratio(r, z, rules.epsilon)
-    c = engine.matmul_t(weight_t, s)
-    if geom is not None:
-        cc, hh, ww, k, stride, padding, _, _ = geom
-        c = engine.col2im_op(c, cc, hh, ww, k, stride, padding)
-    return engine.mul(a_in, c)
-
-
-def _part_preactivation_graph(w_part, sign, ctx, kind):
-    """Pre-activations restricted to one sign of the weights/bias."""
-    bias, lin_in = ctx["bias"], ctx["lin_in"]
-    b_pos = engine.relu(bias)
-    b_part = b_pos if sign > 0 else engine.sub(bias, b_pos)
-    if kind == "conv":
-        zp = engine.matmul(w_part, lin_in)
-        return engine.add(zp, engine.reshape(b_part, (b_part.data.shape[0], 1)))
-    return engine.add(engine.matmul(w_part, lin_in), b_part)
-
-
 def relevance_graph(
     model: Model, trace: ActivationTrace, target_class: int, rules: Optional[LRPRuleConfig] = None
 ) -> list:
@@ -148,30 +128,8 @@ def relevance_graph(
     for li in reversed(range(len(model.layers))):
         spec = model.layers[li]
         cache = trace.caches[li]
-        if spec.kind == "conv":
-            geom = cache["geom"]
-            rmat = engine.reshape(r, cache["zmat"].data.shape)
-            if rules.rule_for("conv") == "epsilon":
-                r = _epsilon_graph(rmat, cache["zmat"], cache["wm"], cache["in"], rules, geom)
-            else:
-                ctx = {
-                    "bias": model.params[f"layer{li}.bias"],
-                    "lin_in": cache["cols"],
-                    "in": cache["in"],
-                }
-                r = _alphabeta_graph(rmat, cache["wm"], ctx, rules, "conv", geom)
-        elif spec.kind == "dense":
-            z = trace.tensors[li + 1]
-            w = model.params[f"layer{li}.weight"]
-            ctx = {
-                "bias": model.params[f"layer{li}.bias"],
-                "lin_in": cache["in"],
-                "in": cache["in"],
-            }
-            if rules.rule_for("dense") == "epsilon":
-                r = _epsilon_graph(r, z, w, cache["in"], rules)
-            else:
-                r = _alphabeta_graph(r, w, ctx, rules, "dense")
+        if spec.kind in ("conv", "dense"):
+            r = _rule_step(model, trace, li, r, rules)
         elif spec.kind == "maxpool":
             r = engine.pool_route(r, cache["idx"], cache["in_hw"], spec.window, spec.stride)
         elif spec.kind == "flatten":
@@ -185,22 +143,72 @@ def relevance_graph(
     return rel
 
 
-def _alphabeta_graph(rmat, weight_t, ctx, rules, kind, geom=None):
-    c = None
-    w_pos = engine.relu(weight_t)
-    w_neg = engine.sub(weight_t, w_pos)
-    for w_part, sign, coef in ((w_pos, 1, rules.alpha), (w_neg, -1, -rules.beta)):
-        if coef == 0.0:
-            continue
-        z_part = _part_preactivation_graph(w_part, sign, ctx, kind)
-        s = engine.stabilized_ratio(rmat, z_part, rules.epsilon, sign=sign)
-        term = engine.matmul_t(w_part, s)
-        if geom is not None:
-            cc, hh, ww, k, stride, padding, _, _ = geom
-            term = engine.col2im_op(term, cc, hh, ww, k, stride, padding)
-        term = engine.mul(engine.const(np.asarray(coef, dtype=term.data.dtype), dtype=None), term)
-        c = term if c is None else engine.add(c, term)
-    return engine.mul(ctx["in"], c)
+def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
+    """The rule at conv or dense layer li as one graph node: the stacked
+    route's value ``a * sum(coef * w^T (r / denom))`` for one seed, with a
+    hand-written vector-Jacobian product with respect to the upper relevance
+    r, the layer input a, the linear input x (the patch matrix for conv),
+    the weight and the bias.
+
+    The backward works in matrix form, one column per output position (a
+    single column for dense). Per term, with s = r / denom:
+    ``g_s = w (coef g a)``, ``g_r = g_s / denom`` and
+    ``g_z = -g_s s / denom`` plus the stabilizer's ``mean|z|`` coupling;
+    then ``g_w = s (coef g a)^T + g_z x^T``, ``g_x = w^T g_z`` and
+    ``g_b = sum(g_z)``, masked to W>0 / W<=0 for the alpha/beta parts. A
+    zero denominator passes no gradient.
+    """
+    cache = trace.caches[li]
+    terms = _rule_terms(model, trace, li, rules)
+    a, bias = cache["in"], model.params[f"layer{li}.bias"]
+    conv = model.layers[li].kind == "conv"
+    if conv:
+        x, weight = cache["cols"], cache["wm"]
+        c = _conv_backshare_stack(r.data[None], cache, terms)[0]
+    else:
+        x, weight = a, model.params[f"layer{li}.weight"]
+        c = _dense_backshare_stack(r.data[None], terms)[0]
+    out = Tensor(c * a.data, (r, a, x, weight, bias), dtype=None)
+    rm = r.data.reshape(bias.data.shape[0], -1)
+    xm = x.data.reshape(x.data.shape[0], -1)
+
+    def bwd(g):
+        ga = g * a.data
+        if conv:
+            _, _, _, k, stride, padding, _, _ = cache["geom"]
+            gc = kernels.im2col(ga, k, stride, padding)
+        else:
+            gc = ga.reshape(xm.shape)
+        g_r = g_x = g_b = 0
+        g_w = None
+        for t in terms:
+            gct = t.coef * gc
+            denom, z = t.denom.reshape(rm.shape), t.z.reshape(rm.shape)
+            nonzero = denom != 0
+            safe = np.where(nonzero, denom, 1)
+            s = np.where(nonzero, rm / safe, 0)
+            g_s = t.w @ gct
+            g_r = g_r + np.where(nonzero, g_s / safe, 0)
+            g_z = np.where(nonzero, -g_s * s / safe, 0)
+            if rules.epsilon > 0:  # d eps/dz_j = epsilon * sign(z_j) / N couples every element
+                direction = kernels.stable_sign(z) if t.sign == 0 else t.sign
+                g_z = g_z + float((g_z * direction).sum()) * rules.epsilon / z.size * np.sign(z)
+            g_x = g_x + t.w.T @ g_z
+            g_bt = g_z.sum(axis=1)
+            if t.sign == 0 and not conv and not weight.parents:  # a dense leaf keeps rank-1 pairs
+                g_wt = engine.FactorPairs([s[:, 0], g_z[:, 0]], [gct[:, 0], xm[:, 0]])
+            else:
+                g_wt = s @ gct.T + g_z @ xm.T
+            if t.sign != 0:
+                keep_w = weight.data > 0 if t.sign > 0 else weight.data <= 0
+                keep_b = bias.data > 0 if t.sign > 0 else bias.data <= 0
+                g_wt, g_bt = g_wt * keep_w, g_bt * keep_b
+            g_w = g_wt if g_w is None else g_w + g_wt
+            g_b = g_b + g_bt
+        return g_r.reshape(r.data.shape), g * c, g_x.reshape(x.data.shape), g_w, g_b
+
+    out.bwd = bwd
+    return out
 
 
 def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = None) -> RelevanceMap:
@@ -252,9 +260,11 @@ def relevance_stack(
         spec = model.layers[li]
         cache = trace.caches[li]
         if spec.kind == "conv":
-            r = _conv_backshare_stack(r, cache, _rule_terms(model, trace, li, rules))
+            terms = _rule_terms(model, trace, li, rules)
+            r = _conv_backshare_stack(r, cache, terms) * cache["in"].data[None]
         elif spec.kind == "dense":
-            r = _dense_backshare_stack(r, cache, _rule_terms(model, trace, li, rules))
+            terms = _rule_terms(model, trace, li, rules)
+            r = _dense_backshare_stack(r, terms) * cache["in"].data[None]
         elif spec.kind == "maxpool":
             h, w = cache["in_hw"]
             r = kernels.pool_scatter(r, cache["idx"], h, w, spec.window, spec.stride)
@@ -268,31 +278,47 @@ def relevance_stack(
 
 
 def _conv_backshare_stack(r, cache, terms):
+    """``sum(coef * w^T (r / denom))`` folded back to (M, C, H, W): the
+    rule at a conv layer for a stack of relevance maps, before the product
+    with the layer input."""
     c_in, h, w, k, stride, padding, _, _ = cache["geom"]
     rmat = r.reshape((r.shape[0],) + cache["zmat"].data.shape)
     out = None
-    for w_part, coef, denom in terms:
+    for t in terms:
         # (M, C_out, L) x (C_out, Ckk) -> (M, Ckk, L)
-        ccols = np.tensordot(_safe_ratio(rmat, denom), w_part, axes=(1, 0)).transpose(0, 2, 1)
-        term = coef * kernels.col2im_stack(
+        ccols = np.tensordot(_safe_ratio(rmat, t.denom), t.w, axes=(1, 0)).transpose(0, 2, 1)
+        term = t.coef * kernels.col2im_stack(
             np.ascontiguousarray(ccols), c_in, h, w, k, stride, padding
         )
         out = term if out is None else out + term
-    return out * cache["in"].data[None]
+    return out
 
 
-def _dense_backshare_stack(r, cache, terms):
+def _dense_backshare_stack(r, terms):
+    """``sum(coef * w^T (r / denom))`` for a stack of relevance vectors."""
     out = None
-    for w_part, coef, denom in terms:
-        term = coef * (_safe_ratio(r, denom) @ w_part)
+    for t in terms:
+        term = t.coef * (_safe_ratio(r, t.denom) @ t.w)
         out = term if out is None else out + term
-    return out * cache["in"].data[None]
+    return out
 
 
-def _rule_terms(model, trace, li, rules):
-    """(weight part, coefficient, stabilized denominator) of each term of the
-    rule at conv or dense layer li. A term passes relevance r down as
-    ``coef * w_part^T (r / denom)``, times the layer input."""
+class _Term(NamedTuple):
+    """One term of the rule at a conv or dense layer. It passes relevance r
+    down as ``coef * w^T (r / denom)``, times the layer input. ``z`` is the
+    term's pre-activation, and ``denom`` is z stabilized in direction
+    ``sign``: sign(z) for the epsilon rule (sign 0), +1 or -1 for the
+    alpha/beta parts, whose weights are those of W>0 or W<=0."""
+
+    w: np.ndarray
+    coef: np.ndarray
+    denom: np.ndarray
+    z: np.ndarray
+    sign: int
+
+
+def _rule_terms(model, trace, li, rules) -> list:
+    """The :class:`_Term` list of the rule at conv or dense layer li."""
     kind = model.layers[li].kind
     cache = trace.caches[li]
     if kind == "conv":  # weights act on the patch matrix
@@ -301,12 +327,13 @@ def _rule_terms(model, trace, li, rules):
         w = model.params[f"layer{li}.weight"].data
         lin_in, z = cache["in"].data, trace.tensors[li + 1].data
     if rules.rule_for(kind) == "epsilon":
-        return [(w, np.asarray(1, dtype=w.dtype), _stab_denominator(z, rules.epsilon))]
+        return [_Term(w, np.asarray(1, dtype=w.dtype), _stab_denominator(z, rules.epsilon), z, 0)]
     bias = model.params[f"layer{li}.bias"].data
     terms = []
     for w_part, b_part, sign, coef in _split_parts(w, bias, rules):
         z_part = w_part @ lin_in + b_part.reshape((-1,) + (1,) * (lin_in.ndim - 1))
-        terms.append((w_part, coef, _stab_denominator(z_part, rules.epsilon, sign)))
+        denom = _stab_denominator(z_part, rules.epsilon, sign)
+        terms.append(_Term(w_part, coef, denom, z_part, sign))
     return terms
 
 
@@ -397,9 +424,9 @@ def _apply_terms(x, terms):
     backward route. The per-output scale is computed once for the stack and
     applied in place, so a term holds one stack-sized array."""
     out = None
-    for w_part, coef, denom in terms:
-        term = w_part @ x
-        scale = coef * _safe_ratio(np.ones((), dtype=term.dtype), denom)
+    for t in terms:
+        term = t.w @ x
+        scale = t.coef * _safe_ratio(np.ones((), dtype=term.dtype), t.denom)
         term *= scale.reshape(term.shape[-2:])
         out = term if out is None else out + term
     return out

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from typing import Optional
@@ -268,7 +269,10 @@ def read_weight_tensors(path) -> dict:
             raise FormatError(f"unsupported weight file version {version}")
         for _ in range(count):
             (nlen,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, nlen, "name").decode("utf-8")
+            try:
+                name = _read_exact(f, nlen, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("tensor name is not UTF-8") from None
             (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
             if rank > 8:
                 raise FormatError(f"implausible tensor rank {rank}")
@@ -311,10 +315,17 @@ def load_weights(path, template: Optional[Model] = None) -> Model:
     return Model(list(template.layers), params, template.input_shape, template.n_classes)
 
 
+def _layer_of(name: str) -> int:
+    match = re.fullmatch(r"layer(\d+)\.(weight|bias)", name)
+    if match is None:
+        raise FormatError(f"tensor name {name!r} is not layer<N>.weight or layer<N>.bias")
+    return int(match.group(1))
+
+
 def _model_from_tensor_shapes(tensors: dict) -> Model:
     conv_shapes = []
     dense_shapes = []
-    for name in sorted(tensors, key=lambda n: int(n.split(".")[0][5:])):
+    for name in sorted(tensors, key=_layer_of):
         if not name.endswith(".weight"):
             continue
         shape = tensors[name].shape

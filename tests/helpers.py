@@ -2,16 +2,21 @@
 and random small-network builders.
 
 The oracles here deliberately avoid the library's compute paths: naive
-loops and direct formulas only, in float64. The one exception is
-`bilrp_reference`, which builds BiLRP by its per-unit definition on the
-backward relevance route (itself checked against the graph route and
-hand-unrolled rules) to check the transposed route BiLRP uses.
+loops and direct formulas only, in float64. Two exceptions:
+`bilrp_reference` builds BiLRP by its per-unit definition on the backward
+relevance route (itself checked against the graph route and hand-unrolled
+rules) to check the transposed route BiLRP uses, and
+`relevance_graph_reference` builds the graph route out of autodiff
+primitives, so the backward of its fused rule nodes has a second
+derivation to agree with.
 """
 
 import numpy as np
 
+from relguide import engine as E
+from relguide import kernels
 from relguide.engine import Tensor
-from relguide.lrp import relevance_stack
+from relguide.lrp import LRPRuleConfig, relevance_stack
 from relguide.network import LayerSpec, Model, build_model, forward_with_trace
 
 
@@ -162,6 +167,100 @@ def bilrp_reference(model, a, b, layer_index, rules, grid, chunk=64):
             pooled.append(patches.reshape(len(units), -1).astype(np.float64))
         joint += pooled[0].T @ pooled[1]
     return joint
+
+
+# ---------------------------------------------------------------------------
+# relevance graph out of autodiff primitives
+# ---------------------------------------------------------------------------
+
+def stabilized_ratio(r, z, eps_scale, sign=0):
+    """r / (z + eps*dir(z)) with eps = eps_scale * mean|z|, differentiated
+    including the dependence of eps on z. A zero denominator yields 0.
+    ``sign`` forces the stabilizer direction (+1/-1); 0 uses sign(z) with
+    sign(0) := +1."""
+    zd = z.data
+    denom = kernels.stab_denominator(zd, eps_scale, sign)
+    nonzero = denom != 0
+    safe = np.where(nonzero, denom, 1)
+    out_data = np.where(nonzero, r.data / safe, 0)
+    out = Tensor(out_data, (r, z), dtype=None)
+    direction = kernels.stable_sign(zd) if sign == 0 else np.asarray(float(sign), dtype=zd.dtype)
+
+    def bwd(g):
+        gr = np.where(nonzero, g / safe, 0)
+        core = np.where(nonzero, g * out_data / safe, 0)
+        gz = -core
+        if eps_scale > 0:
+            coupling = float((core * direction).sum()) * eps_scale / zd.size
+            gz = gz - coupling * np.sign(zd)
+        return gr, gz
+
+    out.bwd = bwd
+    return out
+
+
+def col2im_node(cols, geom):
+    c, h, w, k, stride, padding, _, _ = geom
+    out = Tensor(kernels.col2im(cols.data, c, h, w, k, stride, padding), (cols,), dtype=None)
+    out.bwd = lambda g: (kernels.im2col(g, k, stride, padding),)
+    return out
+
+
+def _rule_graph(r, a, x, weight, bias, z, rules, rule, conv_geom=None):
+    """a * sum(coef * rho(W)^T (r / stab(rho(W) x + rho(b)))) as a chain of
+    primitive nodes; `z` is the layer's own pre-activation (epsilon rule)."""
+    if rule == "epsilon":
+        parts = [(weight, z, 0, 1.0)]
+    else:
+        w_pos, b_pos = E.relu(weight), E.relu(bias)
+        parts = []
+        for w_part, b_part, sign, coef in (
+            (w_pos, b_pos, 1, rules.alpha),
+            (E.sub(weight, w_pos), E.sub(bias, b_pos), -1, -rules.beta),
+        ):
+            if coef == 0.0:
+                continue
+            if conv_geom is not None:
+                b_part = E.reshape(b_part, (b_part.data.shape[0], 1))
+            parts.append((w_part, E.add(E.matmul(w_part, x), b_part), sign, coef))
+    c = None
+    for w_part, z_part, sign, coef in parts:
+        term = E.matmul_t(w_part, stabilized_ratio(r, z_part, rules.epsilon, sign))
+        if conv_geom is not None:
+            term = col2im_node(term, conv_geom)
+        if coef != 1.0:
+            term = E.mul(E.const(np.asarray(coef, dtype=term.data.dtype), dtype=None), term)
+        c = term if c is None else E.add(c, term)
+    return E.mul(a, c)
+
+
+def relevance_graph_reference(model, trace, target_class, rules=None):
+    """`relguide.lrp.relevance_graph` built from autodiff primitives: the
+    stabilized ratio, the transposed product and col2im are separate nodes,
+    and the alpha/beta weight split is relu(W) and W - relu(W)."""
+    rules = rules or LRPRuleConfig()
+    logits = trace.tensors[-1]
+    onehot = np.zeros(logits.data.shape, dtype=logits.data.dtype)
+    onehot[target_class] = 1
+    r = E.mul(logits, Tensor(onehot, dtype=None))
+    rel = [None] * len(trace.tensors)
+    rel[-1] = r
+    for li in reversed(range(len(model.layers))):
+        spec, cache = model.layers[li], trace.caches[li]
+        bias = model.params.get(f"layer{li}.bias")
+        if spec.kind == "conv":
+            rmat = E.reshape(r, cache["zmat"].data.shape)
+            r = _rule_graph(rmat, cache["in"], cache["cols"], cache["wm"], bias, cache["zmat"],
+                            rules, rules.conv_rule, cache["geom"])
+        elif spec.kind == "dense":
+            r = _rule_graph(r, cache["in"], cache["in"], model.params[f"layer{li}.weight"], bias,
+                            trace.tensors[li + 1], rules, rules.dense_rule)
+        elif spec.kind == "maxpool":
+            r = E.pool_route(r, cache["idx"], cache["in_hw"], spec.window, spec.stride)
+        elif spec.kind == "flatten":
+            r = E.reshape(r, cache["in_shape"])
+        rel[li] = r
+    return rel
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,26 @@ from relguide.lrp import (
 )
 from relguide.network import LayerSpec, build_model, forward_with_trace
 
-from helpers import central_diff, check_gradients, params_of, random_conv_net, random_dense_net
+from helpers import (
+    central_diff,
+    check_gradients,
+    params_of,
+    random_conv_net,
+    random_dense_net,
+    relevance_graph_reference,
+)
 
 EPS0 = LRPRuleConfig.uniform("epsilon", epsilon=0.0)
 EPS = LRPRuleConfig.uniform("epsilon", epsilon=1e-6)
 AB10 = LRPRuleConfig.uniform("alphabeta", epsilon=0.0, alpha=1.0, beta=0.0)
+# the stabilized rule sets a guided step can use: epsilon, alpha1beta0 (the
+# default composite's conv rule), the composite itself, and alpha2beta1
+GRAPH_RULES = {
+    "epsilon": EPS,
+    "alpha1beta0": LRPRuleConfig.uniform("alphabeta", epsilon=1e-6),
+    "composite": LRPRuleConfig(),
+    "alpha2beta1": LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=2.0, beta=1.0),
+}
 
 
 def _zero_biases(model):
@@ -182,9 +197,7 @@ class TestGraphVsStack:
                 target = int(np.argmax(np.abs(logits.data)))
                 rel_graph = relevance_graph(model, trace, target, rules)
                 fast = input_relevance(model, trace, target, rules)
-                np.testing.assert_allclose(
-                    fast, rel_graph[0].data, rtol=1e-5, atol=1e-7
-                )
+                np.testing.assert_array_equal(fast, rel_graph[0].data)
 
     def test_stack_is_linear_in_seeds(self, rng):
         model, x = random_conv_net(rng)
@@ -230,7 +243,8 @@ class TestTranspose:
 
 
 class TestDifferentiability:
-    def test_gradient_through_relevance(self, rng):
+    @pytest.mark.parametrize("rules", GRAPH_RULES.values(), ids=GRAPH_RULES.keys())
+    def test_gradient_through_relevance(self, rng, rules):
         """d/dtheta of a scalar function of the input relevance matches
         finite differences through the whole two-pass graph."""
         model, x = random_conv_net(rng, depth=1, with_pool=True)
@@ -240,7 +254,7 @@ class TestDifferentiability:
 
         def run():
             _, trace = forward_with_trace(m64, Tensor(x64, dtype=None))
-            rel = relevance_graph(m64, trace, 0, EPS)
+            rel = relevance_graph(m64, trace, 0, rules)
             return E.sum_all(E.mul(rel[0], Tensor(probe, dtype=None)))
 
         out = run()
@@ -252,9 +266,9 @@ class TestDifferentiability:
         )
 
     def test_gradient_through_alphabeta(self, rng):
-        """alpha1-beta0 and alpha2-beta1. relu(W) is a non-leaf matrix, so its
-        products form np.outer; the weight's own forward matvec gives factor
-        pairs that meet them."""
+        """alpha1-beta0 and alpha2-beta1 on a dense net. The rule node's
+        masked weight gradient is an ndarray; the weight's own forward
+        matvec gives factor pairs that meet it."""
         model, x = random_dense_net(rng, widths=[4])
         m64 = model.astype(np.float64)
         x64 = x.astype(np.float64)
@@ -274,6 +288,84 @@ class TestDifferentiability:
             check_gradients(
                 lambda: run().item(), arrays, analytic, h=1e-5, rel_tol=1e-2, abs_cutoff=1e-5
             )
+
+
+def _probed_loss(route, model, x, probes, rules):
+    """Cross-entropy plus a probe of the relevance at every trace position,
+    so each rule node's gradient reaches the parameters both directly and
+    through the nodes below it."""
+    logits, trace = forward_with_trace(model, Tensor(x, dtype=None))
+    rel = route(model, trace, 1, rules)
+    loss = E.softmax_cross_entropy(logits, 0)
+    for r, probe in zip(rel, probes):
+        loss = E.add(loss, E.sum_all(E.mul(r, Tensor(probe, dtype=None))))
+    return loss, trace
+
+
+class TestRuleStep:
+    """Each conv or dense rule step is one graph node with a hand-written
+    backward, checked against the same rules built from autodiff
+    primitives."""
+
+    NETS = {
+        "conv_pool": lambda rng: random_conv_net(rng, depth=1, with_pool=True),
+        "conv": lambda rng: random_conv_net(rng, depth=2, with_pool=False),
+        "dense": lambda rng: random_dense_net(rng, widths=[5, 4]),
+    }
+
+    @pytest.mark.parametrize("net", NETS.keys())
+    @pytest.mark.parametrize("rules", [*GRAPH_RULES.values(), EPS0], ids=[*GRAPH_RULES, "eps0"])
+    def test_gradients_equal_primitive_route(self, rng, net, rules):
+        model, x = self.NETS[net](rng)
+        m64, x64 = model.astype(np.float64), x.astype(np.float64)
+        for name in m64.param_names():  # W == 0 belongs to the W<=0 part
+            m64.params[name].data.reshape(-1)[0] = 0
+        _, trace = forward_with_trace(m64, x64)
+        probes = [rng.normal(size=t.data.shape) for t in trace.tensors]
+        got_loss, got_trace = _probed_loss(relevance_graph, m64, x64, probes, rules)
+        want_loss, want_trace = _probed_loss(relevance_graph_reference, m64, x64, probes, rules)
+        assert got_loss.item() == pytest.approx(want_loss.item(), rel=1e-12)
+        got, want = E.backward(got_loss), E.backward(want_loss)
+        pairs = [(E.grad_for(got, p), E.grad_for(want, p)) for p in params_of(m64)]
+        pairs.append((got[got_trace.tensors[0]], want[want_trace.tensors[0]]))
+        for g, w in pairs:
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-8 * np.abs(w).max())
+
+    def test_one_node_per_layer(self, rng):
+        """Above the forward graph, relevance_graph adds the seed's onehot
+        product and one node per conv, dense, pool and flatten layer."""
+        model, x = random_conv_net(rng, depth=2, with_pool=True)
+        logits, trace = forward_with_trace(model, x)
+        rel = relevance_graph(model, trace, 0, LRPRuleConfig())
+        forward = {id(n) for n in E._toposort(logits)}
+        added = [n for n in E._toposort(rel[0]) if id(n) not in forward and n.parents]
+        steps = [li for li, spec in enumerate(model.layers) if spec.kind not in ("relu", "dropout")]
+        assert len(added) == 1 + len(steps)
+        for li in steps:
+            assert rel[li].parents[0] is rel[li + 1]
+            if model.layers[li].kind in ("conv", "dense"):
+                assert len(rel[li].parents) == 5
+
+    @pytest.mark.parametrize("rules", [EPS0, AB10], ids=["eps0", "alpha1beta0"])
+    def test_zero_denominator(self, rules):
+        """A hidden unit with z == 0 (zero weights and bias, no stabilizer)
+        gets 0 relevance, and the node passes a finite zero gradient
+        through it."""
+        layers = [LayerSpec("dense", units=2), LayerSpec("relu"), LayerSpec("dense", units=1)]
+        model = build_model(layers, (3,), seed=0, n_classes=1).astype(np.float64)
+        model.params["layer0.weight"].data[1] = 0
+        model.params["layer0.bias"].data[:] = [0.1, 0.0]
+        x = np.array([1.0, 0.5, 2.0])
+        _, trace = forward_with_trace(model, Tensor(x, dtype=None))
+        assert trace.tensors[1].data[1] == 0
+        rel = relevance_graph(model, trace, 0, rules)
+        assert rel[1].data[1] == 0 and rel[2].data[1] == 0
+        grads = E.backward(E.sum_all(E.mul(rel[0], Tensor([1.0, -2.0, 3.0], dtype=None))))
+        for p in params_of(model):
+            assert np.isfinite(E.grad_for(grads, p)).all()
+        assert (E.grad_for(grads, model.params["layer0.weight"])[1] == 0).all()
+        assert E.grad_for(grads, model.params["layer0.bias"])[1] == 0
 
 
 class TestNumericalGuard:
