@@ -21,8 +21,8 @@ from .network import (
     load_weights,
     save_weights,
 )
-from .lrp import LRPRuleConfig, RelevanceMap, lrp, render_heatmap, sensitivity_map
-from .bilrp import JointRelevance, bilrp, embed, similarity, top_connections
+from .lrp import LRPRuleConfig, RelevanceMap, render_heatmap, sensitivity_map
+from .bilrp import JointRelevance, embed, similarity, top_connections
 from .atlas import AtlasIndex, build_index, credibility, explain_pair, query_knn
 from .data import GeneratorConfig, LabeledSample, augment, generate, load_dataset, save_dataset
 from .training import (
@@ -48,11 +48,9 @@ __all__ = [
     "save_weights",
     "LRPRuleConfig",
     "RelevanceMap",
-    "lrp",
     "render_heatmap",
     "sensitivity_map",
     "JointRelevance",
-    "bilrp",
     "embed",
     "similarity",
     "top_connections",

@@ -13,20 +13,29 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 
 import numpy as np
 
 from . import __version__
-from .atlas import build_index, credibility, explain_pair, query_knn_vector
+from .atlas import METRICS, build_index, credibility, explain_pair, query_knn_vector
 from .bilrp import export_json, unit_relevance
-from .data import GeneratorConfig, generate, load_dataset, save_dataset
+from .data import GeneratorConfig, generate, load_dataset, load_sample, save_dataset
 from .errors import ConfigError, FormatError, NumericalError, ScoreError, UsageError
 from .lrp import LRPRuleConfig, input_relevance, render_heatmap
-from .network import build_default_model, forward_with_trace, load_weights, save_weights
+from .network import (
+    build_model,
+    default_layers,
+    forward_with_trace,
+    infer_shapes,
+    load_weights,
+    save_weights,
+)
 from .training import (
     METRICS_FLOOR,
+    SCORE_VARIANTS,
     LossConfig,
     TrainConfig,
     evaluate,
@@ -95,6 +104,8 @@ _TYPE_CHECKS = {
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
 }
+# keys whose value must be one of these
+_CHOICES = {"score_variant": SCORE_VARIANTS, "metric": METRICS}
 # keys whose default does not show the type their values must have
 _KEY_TYPES = {
     "seed": "an integer", "layer": "an integer", "rule": "a string or null",
@@ -148,6 +159,12 @@ def resolve_config(args, command: str) -> dict:
             cfg[key] = v
     if command in _SEED_REQUIRED and cfg.get("seed") is None:
         raise UsageError(f'missing required key "seed" for {command} (config or --seed)')
+    if cfg.get("seed") is not None and cfg["seed"] < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
+    for key, choices in _CHOICES.items():
+        if key in cfg and cfg[key] not in choices:
+            raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}, "
+                             f"got {json.dumps(cfg[key])}")
     return cfg
 
 
@@ -183,14 +200,16 @@ def train_config_from(cfg: dict, epochs=None) -> TrainConfig:
     )
 
 
-def model_from_config(cfg: dict, input_shape, seed: int):
-    return build_default_model(
-        input_shape=input_shape,
-        seed=seed,
+def layers_from_config(cfg: dict) -> list:
+    return default_layers(
         conv_channels=tuple(cfg.get("conv_channels", (16, 32, 64, 128))),
         dense_units=int(cfg.get("dense_units", 256)),
         dropout_rate=float(cfg.get("dropout_rate", 0.25)),
     )
+
+
+def model_from_config(cfg: dict, input_shape, seed: int):
+    return build_model(layers_from_config(cfg), input_shape, seed)
 
 
 def write_manifest(out_dir, command, cfg, artifacts, started, extra=None) -> str:
@@ -223,6 +242,14 @@ def _load_sets(args):
     return train_set, val_set
 
 
+def _check_run_config(cfg: dict, train_set, epochs=None) -> None:
+    """Build each setting of a training run once, so that a bad value ends
+    an experiment before --out exists (the runners build them per run)."""
+    infer_shapes(layers_from_config(cfg), train_set[0].image.shape)
+    train_config_from(cfg, epochs)
+    loss_config_from(cfg, mode="penalization")
+
+
 def _sample_by_id(samples, sample_id: int):
     for s in samples:
         if s.sample_id == sample_id:
@@ -237,7 +264,6 @@ def _sample_by_id(samples, sample_id: int):
 def cmd_generate(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "generate")
-    out = _ensure_out(args)
     gen_keys = (
         "height", "width", "lesion_area_min", "lesion_area_max",
         "texture_contrast", "distractor_rho", "noise_sigma", "seed",
@@ -245,10 +271,12 @@ def cmd_generate(args) -> int:
     base = {k: cfg[k] for k in gen_keys}
     train_cfg = GeneratorConfig(samples_per_class=int(cfg["samples_per_class"]), **base)
     val_cfg = GeneratorConfig(samples_per_class=int(cfg["val_per_class"]), **base)
+    train_set, val_set = generate(train_cfg), generate(val_cfg, id_offset=VAL_ID_OFFSET)
+    out = _ensure_out(args)
     train_path = os.path.join(out, "train.rgtd")
     val_path = os.path.join(out, "val.rgtd")
-    save_dataset(generate(train_cfg), train_path)
-    save_dataset(generate(val_cfg, id_offset=VAL_ID_OFFSET), val_path)
+    save_dataset(train_set, train_path)
+    save_dataset(val_set, val_path)
     write_manifest(out, "generate", cfg, ["train.rgtd", "val.rgtd"], started)
     print(f"wrote {train_path} ({2 * train_cfg.samples_per_class} samples) and "
           f"{val_path} ({2 * val_cfg.samples_per_class} samples)")
@@ -258,11 +286,12 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "train")
-    out = _ensure_out(args)
     train_set, val_set = _load_sets(args)
     model = model_from_config(cfg, train_set[0].image.shape, int(cfg["seed"]))
     loss_cfg = loss_config_from(cfg)
-    model, records = train(model, train_set, val_set, loss_cfg, train_config_from(cfg))
+    train_cfg = train_config_from(cfg)
+    out = _ensure_out(args)
+    model, records = train(model, train_set, val_set, loss_cfg, train_cfg)
     weights_path = os.path.join(out, "weights.rgtw")
     metrics_path = os.path.join(out, "metrics.csv")
     save_weights(model, weights_path)
@@ -277,12 +306,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "evaluate")
-    out = _ensure_out(args)
+    rules = rules_from_config(cfg)
     dataset = load_dataset(args.data)
     model = load_weights(args.weights)
-    acc, f1w, s0, s1 = evaluate(
-        model, dataset, rules_from_config(cfg), cfg["score_variant"], cfg["score_floor"]
-    )
+    out = _ensure_out(args)
+    acc, f1w, s0, s1 = evaluate(model, dataset, rules, cfg["score_variant"], cfg["score_floor"])
     result = {"accuracy": acc, "f1_weighted": f1w, "score_class0": s0, "score_class1": s1}
     with open(os.path.join(out, "evaluation.json"), "w") as f:
         json.dump(result, f, indent=1)
@@ -294,24 +322,33 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "explain")
-    dataset = load_dataset(args.data)
-    sample = _sample_by_id(dataset, args.sample_id)
+    rules = rules_from_config(cfg)
+    sample = load_sample(args.data, args.sample_id)
+    if sample is None:
+        raise UsageError(f"sample id {args.sample_id} not found in dataset")
     model = load_weights(args.weights)
     out = _ensure_out(args)
-    rules = rules_from_config(cfg)
     logits, trace = forward_with_trace(model, sample.image)
     pred = int(np.argmax(logits.data))
     artifacts = []
     scores = {}
+    rendered = {}  # target class -> (pgm, csv) paths; a correct prediction reuses its maps
     for tag, target in (("pred", pred), ("true", sample.label)):
-        rel = input_relevance(model, trace, target, rules)
         name = f"heatmap_{tag}_class{target}.pgm"
-        render_heatmap(rel, os.path.join(out, name))
+        paths = (os.path.join(out, name), os.path.join(out, name.replace(".pgm", ".csv")))
+        if target in rendered:
+            for src, dst in zip(rendered[target], paths):
+                shutil.copyfile(src, dst)
+            scores[tag] = scores["pred"]
+        else:
+            rel = input_relevance(model, trace, target, rules)
+            render_heatmap(rel, paths[0])
+            rendered[target] = paths
+            scores[tag] = lesion_relevance_score(
+                rel, sample.lesion_mask, sample.object_mask,
+                cfg["score_variant"], cfg["score_floor"],
+            )
         artifacts += [name, name.replace(".pgm", ".csv")]
-        scores[tag] = lesion_relevance_score(
-            rel, sample.lesion_mask, sample.object_mask,
-            cfg["score_variant"], cfg["score_floor"],
-        )
     summary = {
         "sample_id": sample.sample_id,
         "true_label": sample.label,
@@ -429,8 +466,9 @@ def format_table(rows) -> str:
 def cmd_experiment1(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "experiment1")
-    out = _ensure_out(args)
     train_set, val_set = _load_sets(args)
+    _check_run_config(cfg, train_set)
+    out = _ensure_out(args)
     rows = run_experiment1(train_set, val_set, cfg, out)
     with open(os.path.join(out, "table.csv"), "w") as f:
         f.write(TABLE_HEADER + "\n")
@@ -479,8 +517,9 @@ def write_iteration_csv(records, path) -> None:
 def cmd_experiment2(args) -> int:
     started = time.time()
     cfg = resolve_config(args, "experiment2")
-    out = _ensure_out(args)
     train_set, val_set = _load_sets(args)
+    _check_run_config(cfg, train_set, epochs=int(cfg["iterations"]))
+    out = _ensure_out(args)
     conventional, guided = run_experiment2(train_set, val_set, cfg)
     write_iteration_csv(conventional, os.path.join(out, "conventional.csv"))
     write_iteration_csv(guided, os.path.join(out, "guided.csv"))

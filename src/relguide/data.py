@@ -239,30 +239,54 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return buf
 
 
+def _record_size(c, h, w) -> int:
+    """Bytes per sample: id u32, label u8, f32 image, two u8 masks."""
+    return 5 + 4 * math.prod((c, h, w)) + 2 * h * w
+
+
+def _read_header(f) -> tuple:
+    """Check the header and that the file holds exactly the records it
+    declares; returns (n, c, h, w)."""
+    if _read_exact(f, 4, "magic") != DATASET_MAGIC:
+        raise FormatError("bad magic: not a dataset file")
+    version, n, c, h, w = struct.unpack("<IIIII", _read_exact(f, 20, "header"))
+    if version != DATASET_VERSION:
+        raise FormatError(f"unsupported dataset version {version}")
+    if n == 0 or c == 0 or h == 0 or w == 0:
+        raise FormatError("dataset header with zero dimension")
+    need = n * _record_size(c, h, w)
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if need > left:
+        raise FormatError(f"truncated dataset file: header declares {need} bytes, {left} left")
+    if need < left:
+        raise FormatError("trailing bytes after last sample")
+    return n, c, h, w
+
+
+def _read_sample(f, c, h, w) -> LabeledSample:
+    sid, label = struct.unpack("<IB", _read_exact(f, 5, "sample header"))
+    img = np.frombuffer(_read_exact(f, 4 * c * h * w, "image"), dtype="<f4").reshape(c, h, w).copy()
+    obj = np.frombuffer(_read_exact(f, h * w, "object mask"), dtype="u1").reshape(h, w).copy()
+    les = np.frombuffer(_read_exact(f, h * w, "lesion mask"), dtype="u1").reshape(h, w).copy()
+    return LabeledSample(img, obj, les, int(label), int(sid))
+
+
 def load_dataset(path) -> list:
-    samples = []
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != DATASET_MAGIC:
-            raise FormatError("bad magic: not a dataset file")
-        version, n, c, h, w = struct.unpack("<IIIII", _read_exact(f, 20, "header"))
-        if version != DATASET_VERSION:
-            raise FormatError(f"unsupported dataset version {version}")
-        if n == 0 or c == 0 or h == 0 or w == 0:
-            raise FormatError("dataset header with zero dimension")
-        need = n * (5 + 4 * math.prod((c, h, w)) + 2 * h * w)
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if need > left:
-            raise FormatError(f"truncated dataset file: header declares {need} bytes, {left} left")
-        for _ in range(n):
-            sid, label = struct.unpack("<IB", _read_exact(f, 5, "sample header"))
-            img = (
-                np.frombuffer(_read_exact(f, 4 * c * h * w, "image"), dtype="<f4")
-                .reshape(c, h, w)
-                .copy()
-            )
-            obj = np.frombuffer(_read_exact(f, h * w, "object mask"), dtype="u1").reshape(h, w).copy()
-            les = np.frombuffer(_read_exact(f, h * w, "lesion mask"), dtype="u1").reshape(h, w).copy()
-            samples.append(LabeledSample(img, obj, les, int(label), int(sid)))
-        if f.read(1):
-            raise FormatError("trailing bytes after last sample")
-    return samples
+        n, c, h, w = _read_header(f)
+        return [_read_sample(f, c, h, w) for _ in range(n)]
+
+
+def load_sample(path, sample_id: int) -> Optional[LabeledSample]:
+    """The first sample of a dataset file with `sample_id`, or None. Reads
+    only the id of each record before it; refuses the files `load_dataset`
+    refuses."""
+    with open(path, "rb") as f:
+        n, c, h, w = _read_header(f)
+        start, size = f.tell(), _record_size(c, h, w)
+        for i in range(n):
+            f.seek(start + i * size)
+            if struct.unpack("<I", _read_exact(f, 4, "sample id"))[0] == sample_id:
+                f.seek(start + i * size)
+                return _read_sample(f, c, h, w)
+    return None

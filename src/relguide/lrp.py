@@ -485,10 +485,9 @@ def render_heatmap(relevance: np.ndarray, path) -> None:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(img.tobytes())
     csv_path = os.path.splitext(str(path))[0] + ".csv"
+    row = ",".join(["%.9g"] * w) + "\n"  # "%.9g" % v is f"{float(v):.9g}", -0/inf/nan too
     with open(csv_path, "w") as f:
-        for row in rel2d:
-            f.write(",".join(f"{float(v):.9g}" for v in row))
-            f.write("\n")
+        f.write((row * h) % tuple(rel2d.ravel().tolist()))
 
 
 def read_heatmap_csv(path) -> np.ndarray:

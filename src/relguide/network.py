@@ -110,8 +110,13 @@ def infer_shapes(layers, input_shape, n_classes=2) -> list:
         elif spec.kind == "dense":
             if len(cur) != 1:
                 raise ConfigError(f"layer {li}: dense needs flat input, has {cur}")
+            if spec.units < 1:
+                raise ConfigError(f"layer {li}: dense needs >= 1 units, has {spec.units}")
             cur = (spec.units,)
-        elif spec.kind in ("relu", "dropout"):
+        elif spec.kind == "dropout":
+            if not 0 <= spec.rate < 1:
+                raise ConfigError(f"layer {li}: dropout rate must be in [0,1), got {spec.rate}")
+        elif spec.kind == "relu":
             pass
         else:
             raise ConfigError(f"layer {li}: unknown kind {spec.kind!r}")
@@ -138,23 +143,30 @@ def default_layers(
     return layers
 
 
+def param_shapes(layers, input_shape) -> dict:
+    """Name -> dims of every parameter tensor, in layer order, weight first."""
+    shapes = infer_shapes(layers, input_shape)
+    out = {}
+    for li, spec in enumerate(layers):
+        if spec.kind == "conv":
+            out[f"layer{li}.weight"] = (spec.channels, shapes[li][0], spec.kernel, spec.kernel)
+            out[f"layer{li}.bias"] = (spec.channels,)
+        elif spec.kind == "dense":
+            out[f"layer{li}.weight"] = (spec.units, shapes[li][0])
+            out[f"layer{li}.bias"] = (spec.units,)
+    return out
+
+
 def init_params(layers, input_shape, seed) -> dict:
     """He-style fan-in-scaled normal init for weights, zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x1217]))
-    shapes = infer_shapes(layers, input_shape)
     params = {}
-    for li, spec in enumerate(layers):
-        if spec.kind == "conv":
-            c_in = shapes[li][0]
-            fan_in = c_in * spec.kernel * spec.kernel
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (spec.channels, c_in, spec.kernel, spec.kernel))
-            params[f"layer{li}.weight"] = Tensor(w.astype(np.float32), name=f"layer{li}.weight")
-            params[f"layer{li}.bias"] = Tensor(np.zeros(spec.channels, dtype=np.float32), name=f"layer{li}.bias")
-        elif spec.kind == "dense":
-            fan_in = shapes[li][0]
-            w = rng.normal(0.0, np.sqrt(2.0 / fan_in), (spec.units, fan_in))
-            params[f"layer{li}.weight"] = Tensor(w.astype(np.float32), name=f"layer{li}.weight")
-            params[f"layer{li}.bias"] = Tensor(np.zeros(spec.units, dtype=np.float32), name=f"layer{li}.bias")
+    for name, shape in param_shapes(layers, input_shape).items():
+        if name.endswith(".weight"):
+            w = rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+        else:
+            w = np.zeros(shape)
+        params[name] = Tensor(w.astype(np.float32), name=name)
     return params
 
 
@@ -283,15 +295,17 @@ def read_weight_tensors(path) -> dict:
                 raise FormatError(
                     f"truncated weight file: tensor {name} declares {nbytes} bytes, {left} left"
                 )
-            payload = _read_exact(f, nbytes, f"tensor {name}")
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            data = np.empty(dims, dtype="<f4")  # read in place: no bytes object, no copy
+            if f.readinto(data.reshape(-1).view(np.uint8)) != nbytes:
+                raise FormatError(f"truncated weight file while reading tensor {name}")
+            tensors[name] = data
         if f.read(1):
             raise FormatError("trailing bytes after last tensor")
     return tensors
 
 
 def load_weights(path, template: Optional[Model] = None) -> Model:
-    """Rebuild a model from a weight file.
+    """Rebuild a model from a weight file; its tensors become the parameters.
 
     With a `template`, the file must provide exactly the template's tensors
     with matching dims. Without one, the default conv/pool/dense layout is
@@ -300,19 +314,24 @@ def load_weights(path, template: Optional[Model] = None) -> Model:
     """
     tensors = read_weight_tensors(path)
     if template is None:
-        template = _model_from_tensor_shapes(tensors)
-    names = template.param_names()
+        layers, input_shape, n_classes = _layout_from_tensor_shapes(tensors)
+    else:
+        layers, input_shape, n_classes = template.layers, template.input_shape, template.n_classes
+    try:
+        want = param_shapes(layers, input_shape)
+    except ConfigError as e:  # only an inferred layout can fail
+        raise FormatError(f"weight file dims describe no valid model: {e}") from None
+    names = sorted(want)
     if sorted(tensors.keys()) != names:
         raise FormatError(
             f"weight file tensors {sorted(tensors.keys())} do not match model {names}"
         )
     params = {}
     for name in names:
-        want = template.params[name].data.shape
-        if tensors[name].shape != want:
-            raise FormatError(f"tensor {name} has dims {tensors[name].shape}, expected {want}")
+        if tensors[name].shape != want[name]:
+            raise FormatError(f"tensor {name} has dims {tensors[name].shape}, expected {want[name]}")
         params[name] = Tensor(tensors[name], name=name)
-    return Model(list(template.layers), params, template.input_shape, template.n_classes)
+    return Model(list(layers), params, tuple(input_shape), n_classes)
 
 
 def _layer_of(name: str) -> int:
@@ -322,7 +341,9 @@ def _layer_of(name: str) -> int:
     return int(match.group(1))
 
 
-def _model_from_tensor_shapes(tensors: dict) -> Model:
+def _layout_from_tensor_shapes(tensors: dict) -> tuple:
+    """(layers, input shape, n_classes) of the default family that the
+    stored weight dims describe."""
     conv_shapes = []
     dense_shapes = []
     for name in sorted(tensors, key=_layer_of):
@@ -345,6 +366,4 @@ def _model_from_tensor_shapes(tensors: dict) -> Model:
         raise FormatError(f"weight file has {n_classes} outputs; relguide models have 2 classes")
     spatial = flat // channels[-1]
     side = int(round(np.sqrt(spatial))) * (2 ** len(channels))
-    layers = default_layers(channels, dense_units, n_classes)
-    model = build_model(layers, (in_channels, side, side), seed=0, n_classes=n_classes)
-    return model
+    return default_layers(channels, dense_units, n_classes), (in_channels, side, side), n_classes

@@ -1,12 +1,13 @@
 """Joint (second-order) similarity explanation: factorization oracle,
 conservation of the matrix total, symmetry, and the export format."""
 
-import importlib
 import json
 
 import numpy as np
 import pytest
 
+import relguide.bilrp
+import relguide.lrp as lrp_module
 from relguide.bilrp import (
     bilrp,
     embed,
@@ -21,10 +22,14 @@ from relguide.network import LayerSpec, build_default_model, build_model, forwar
 
 from helpers import bilrp_reference, random_conv_net
 
-lrp_module = importlib.import_module("relguide.lrp")  # the package exports a function `lrp`
-
 EPS0 = LRPRuleConfig.uniform("epsilon", epsilon=0.0)
 EPS = LRPRuleConfig.uniform("epsilon", epsilon=1e-6)
+
+
+def test_submodules_are_package_attributes():
+    # the package binds no function over the names of its submodules
+    assert callable(lrp_module.relevance_graph)
+    assert callable(relguide.bilrp.bilrp)
 
 
 def _image(rng, shape=(1, 4, 4)):

@@ -13,7 +13,7 @@ import pytest
 from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, load_dataset, save_dataset
-from relguide.lrp import LRPRuleConfig, read_heatmap_csv
+from relguide.lrp import LRPRuleConfig, input_relevance, read_heatmap_csv, render_heatmap
 from relguide.errors import FormatError
 from relguide.network import (
     build_default_model,
@@ -224,6 +224,35 @@ class TestExplain:
         pred_pgm = next(out.glob("heatmap_pred_*.pgm")).read_bytes()
         true_pgm = next(out.glob("heatmap_true_*.pgm")).read_bytes()
         assert pred_pgm == true_pgm
+
+    def test_misprediction_gives_two_distinct_maps(self, workspace, tmp_path):
+        model = load_weights(workspace / "run" / "weights.rgtw")
+        sample = load_dataset(workspace / "data" / "val.rgtd")[0]
+        if int(np.argmax(forward_with_trace(model, sample.image)[0].data)) == sample.label:
+            last = f"layer{len(model.layers) - 1}"  # swapped output rows flip the prediction
+            for name in (f"{last}.weight", f"{last}.bias"):
+                model.params[name].data = model.params[name].data[::-1].copy()
+        weights = tmp_path / "w.rgtw"
+        save_weights(model, weights)
+        out = tmp_path / "ex"
+        code = run_cli("explain", "--weights", str(weights), "--data",
+                       str(workspace / "data" / "val.rgtd"),
+                       "--sample-id", str(sample.sample_id), "--out", str(out))
+        assert code == 0
+        pred, true = 1 - sample.label, sample.label
+        _, trace = forward_with_trace(model, sample.image)
+        maps = {}
+        for tag, target in (("pred", pred), ("true", true)):
+            rel = input_relevance(model, trace, target, LRPRuleConfig())
+            render_heatmap(rel, tmp_path / f"ref{target}.pgm")
+            for ext in ("pgm", "csv"):
+                got = (out / f"heatmap_{tag}_class{target}.{ext}").read_bytes()
+                assert got == (tmp_path / f"ref{target}.{ext}").read_bytes()
+                maps[tag, ext] = got
+        assert maps["pred", "csv"] != maps["true", "csv"]
+        summary = json.loads((out / "explain.json").read_text())
+        assert (summary["predicted_label"], summary["true_label"]) == (pred, true)
+        assert summary["score_pred"] != summary["score_true"]
 
     def test_unknown_sample_id(self, workspace, tmp_path):
         code = run_cli(
@@ -501,6 +530,72 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             run_cli("--version")
         assert e.value.code == 0
+
+
+class TestErrorTable:
+    """One bad argument per row, over all seven subcommands: exit 1 for a
+    bad flag or value, 2 for a missing or corrupt file; exactly one stderr
+    line, no traceback, and no --out directory left behind."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("table")
+        data = workspace / "data"
+        (root / "corrupt.rgtd").write_bytes(b"EVIL" + (data / "val.rgtd").read_bytes()[4:])
+        (root / "corrupt.rgtw").write_bytes((workspace / "run" / "weights.rgtw").read_bytes()[:-3])
+        return {"train": data / "train.rgtd", "val": data / "val.rgtd",
+                "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
+                "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw"}
+
+    TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
+    SERVE = ["--weights", "{weights}", "--data", "{val}"]
+    RETRIEVE = ["--weights", "{weights}", "--atlas", "{val}", "--query-id", "1000000", "--layer", "3"]
+    ROWS = [  # subcommand, arguments, config file contents (None: no --config), exit code
+        ("generate", ["--seed", "1"], {"height": 8}, 1),
+        ("generate", [], {"samples_per_class": 2}, 1),  # no seed
+        ("generate", ["--seed", "-1"], None, 1),
+        ("generate", ["--seed", "1"], {"lesion_area_min": 0.9, "lesion_area_max": 0.99}, 1),
+        ("train", TRAIN, {"epochs": 0}, 1),
+        ("train", TRAIN, {"conv_channels": [4] * 7}, 1),  # too deep for 32x32
+        ("train", TRAIN, {"dense_units": 0}, 1),
+        ("train", TRAIN, {"dropout_rate": 1.5}, 1),
+        ("train", TRAIN + ["--power", "-1", "--loss", "penalization"], None, 1),
+        ("train", ["--data", "{missing}", "--seed", "1"], None, 2),
+        ("evaluate", SERVE + ["--rule", "bogus"], None, 1),
+        ("evaluate", SERVE, {"alpha": 0.5}, 1),
+        ("evaluate", SERVE, {"score_variant": "x"}, 1),
+        ("evaluate", ["--weights", "{weights}", "--data", "{corrupt}"], None, 2),
+        ("evaluate", ["--weights", "{corrupt_weights}", "--data", "{val}"], None, 2),
+        ("explain", SERVE + ["--sample-id", "424242"], None, 1),
+        ("explain", SERVE + ["--sample-id", "1000000"], {"score_variant": "x"}, 1),
+        ("explain", SERVE + ["--sample-id", "1000000"], {"rule": "x"}, 1),
+        ("explain", ["--weights", "{weights}", "--data", "{corrupt}", "--sample-id", "1"], None, 2),
+        ("explain", ["--weights", "{missing}", "--data", "{val}", "--sample-id", "1000000"], None, 2),
+        ("retrieve", RETRIEVE + ["--k", "0"], None, 1),
+        ("retrieve", RETRIEVE + ["--grid", "5"], None, 1),
+        ("retrieve", RETRIEVE, {"metric": "x"}, 1),
+        ("retrieve", ["--weights", "{corrupt_weights}", "--atlas", "{val}", "--query-id",
+                      "1000000", "--layer", "3"], None, 2),
+        ("experiment1", TRAIN, {"epochs": 0}, 1),
+        ("experiment1", TRAIN, {"dropout_rate": -0.5}, 1),
+        ("experiment1", ["--data", "{corrupt}", "--seed", "1"], None, 2),
+        ("experiment2", TRAIN, {"iterations": 0}, 1),
+        ("experiment2", TRAIN, {"dense_units": -1}, 1),
+        ("experiment2", TRAIN + ["--power", "-2"], None, 1),
+        ("experiment2", ["--data", "{train}", "--val", "{missing}", "--seed", "1"], None, 2),
+    ]
+
+    @pytest.mark.parametrize("command, argv, config, code", ROWS,
+                             ids=[f"{row[0]}-{i}" for i, row in enumerate(ROWS)])
+    def test_exit_code_one_line_no_out(self, paths, tmp_path, capsys, command, argv, config, code):
+        argv = [a.format(**paths) for a in argv]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, **config)]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 U32_MAX = 2**32 - 1

@@ -12,6 +12,7 @@ from relguide.data import (
     augment,
     generate,
     load_dataset,
+    load_sample,
     make_sample,
     rigid_transform,
     save_dataset,
@@ -185,3 +186,46 @@ class TestPersistence:
             _, n, c, h, w = struct.unpack("<IIIII", f.read(20))
         assert n == len(samples) == len(load_dataset(p))
         assert (c, h, w) == samples[0].image.shape
+
+
+def _same_sample(a, b):
+    assert (a.label, a.sample_id) == (b.label, b.sample_id)
+    for field in ("image", "object_mask", "lesion_mask"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+class TestLoadSample:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        samples = generate(SMALL, id_offset=1_000_000)
+        # a repeated id: the first record that carries it wins
+        samples.insert(5, LabeledSample(samples[9].image[:, ::-1], samples[9].object_mask,
+                                        samples[9].lesion_mask, 1 - samples[9].label,
+                                        samples[2].sample_id))
+        p = tmp_path_factory.mktemp("sample") / "d.rgtd"
+        save_dataset(samples, p)
+        return p
+
+    def test_equals_pick_from_full_load(self, path):
+        dataset = load_dataset(path)
+        ids = [s.sample_id for s in dataset]
+        assert ids.count(ids[5]) == 2
+        for sid in (ids[0], ids[len(ids) // 2], ids[-1], ids[5]):
+            _same_sample(load_sample(path, sid), next(s for s in dataset if s.sample_id == sid))
+
+    def test_missing_id(self, path):
+        assert load_sample(path, 424242) is None
+        assert load_sample(path, -1) is None
+
+    @pytest.mark.parametrize("edit", ["truncate", "trailing", "magic"])
+    def test_refuses_what_load_dataset_refuses(self, path, tmp_path, edit):
+        blob = path.read_bytes()
+        bad = tmp_path / "bad.rgtd"
+        bad.write_bytes({"truncate": blob[:-1], "trailing": blob + b"\0",
+                         "magic": b"ZZZZ" + blob[4:]}[edit])
+        with pytest.raises(FormatError) as full:
+            load_dataset(bad)
+        with pytest.raises(FormatError) as one:
+            load_sample(bad, 1_000_000)  # the first record: no scan would reach the tail
+        assert str(one.value) == str(full.value)

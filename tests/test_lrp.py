@@ -434,3 +434,15 @@ class TestHeatmap:
         render_heatmap(rel, path)
         parsed = read_heatmap_csv(tmp_path / "h.csv")
         np.testing.assert_array_equal(parsed, rel.sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_csv_bytes_equal_per_value_format(self, tmp_path, rng, dtype):
+        info = np.finfo(dtype)
+        edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal, info.tiny,
+                 np.finfo(np.float32).max, -np.finfo(np.float32).max, np.inf, -np.inf, np.nan]
+        rel = rng.normal(size=(3, 6)).astype(dtype)
+        rel.flat[: len(edges)] = edges
+        with np.errstate(all="ignore"):  # the PGM of inf/nan is not under test
+            render_heatmap(rel, tmp_path / "h.pgm")
+        want = "".join(",".join(f"{float(v):.9g}" for v in row) + "\n" for row in rel)
+        assert (tmp_path / "h.csv").read_text() == want

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relguide.atlas import AtlasIndex, load_index, save_index
-from relguide.data import GeneratorConfig, generate, load_dataset, save_dataset
+from relguide.data import GeneratorConfig, generate, load_dataset, load_sample, save_dataset
 from relguide.errors import FormatError
 from relguide.network import build_default_model, load_weights, save_weights
 
@@ -25,8 +25,14 @@ def files(tmp_path_factory):
                  root / "a.rgtw")
     save_index(AtlasIndex(4, np.ones((3, 5), dtype=np.float32), np.arange(3, dtype=np.uint32),
                           np.zeros(3, dtype=np.uint8)), root / "a.rgta")
-    readers = {"rgtd": load_dataset, "rgtw": load_weights, "rgta": load_index}
-    return root, {ext: ((root / f"a.{ext}").read_bytes(), fn) for ext, fn in readers.items()}
+    readers = {  # name: (file extension, reader)
+        "rgtd": ("rgtd", load_dataset),
+        "rgtd_sample": ("rgtd", lambda path: load_sample(path, 1)),  # the last of the two ids
+        "rgtw": ("rgtw", load_weights),
+        "rgta": ("rgta", load_index),
+    }
+    return root, {name: ((root / f"a.{ext}").read_bytes(), ext, fn)
+                  for name, (ext, fn) in readers.items()}
 
 
 @st.composite
@@ -49,12 +55,12 @@ def _corrupt(blob, kind, where, value):
     return bytes(blob)
 
 
-@pytest.mark.parametrize("ext", ["rgtd", "rgtw", "rgta"])
+@pytest.mark.parametrize("reader_name", ["rgtd", "rgtd_sample", "rgtw", "rgta"])
 @settings(max_examples=300, deadline=None)
 @given(case=corruptions())
-def test_only_format_errors(files, ext, case):
+def test_only_format_errors(files, reader_name, case):
     root, blobs = files
-    blob, reader = blobs[ext]
+    blob, ext, reader = blobs[reader_name]
     path = root / f"case.{ext}"
     path.write_bytes(_corrupt(blob, *case))
     try:
