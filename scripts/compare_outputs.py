@@ -12,7 +12,7 @@ commands into a temporary directory of its own:
 * ``evaluate`` of both weight files, the guided one also with the
   alpha2-beta1 rule;
 * ``explain`` of two validation samples, one also with the epsilon rule;
-* ``retrieve`` at trace positions 3 and 7.
+* ``retrieve`` at trace positions 3 and 7, and at 7 with the cosine metric.
 
 It then lists every output file that differs between the two trees, or
 exists under one only. Manifests are compared with ``duration_seconds``
@@ -46,6 +46,7 @@ CONFIGS = {
     "plain.json": {"epochs": 2},
     "guided.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99},
     "alpha2beta1.json": {"alpha": 2.0, "beta": 1.0},
+    "cosine.json": {"metric": "cosine"},
 }
 
 COMMANDS = [
@@ -68,6 +69,9 @@ COMMANDS = [
      "--query-id", "5", "--layer", "3", "--k", "3", "--out", "retrieve3"],
     ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
      "--query-id", "5", "--layer", "7", "--k", "3", "--out", "retrieve7"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "7", "--k", "3", "--config", "cosine.json",
+     "--out", "retrieve7_cosine"],
 ]
 
 

@@ -2,10 +2,11 @@
 
 An atlas index stores the flattened inference-mode activation of every
 reference sample at one trace position. Queries run exhaustive exact
-nearest-neighbor search (atlas sizes here are small), and the label
-homogeneity among the returned neighbors serves as a credibility value for
-a prediction. Retrieved pairs can be explained with the joint relevance
-decomposition from :mod:`relguide.bilrp`.
+nearest-neighbor search (atlas sizes here are small) one block of index
+rows at a time, so a query's temporaries stay a few MB at any index size.
+The label homogeneity among the returned neighbors serves as a credibility
+value for a prediction. Retrieved pairs can be explained with the joint
+relevance decomposition from :mod:`relguide.bilrp`.
 """
 
 from __future__ import annotations
@@ -56,40 +57,54 @@ def build_index(model: Model, samples, layer_indices, metric="euclidean") -> lis
         if not 0 <= li <= len(model.layers):
             raise IndexError(f"layer index {li} out of range (0..{len(model.layers)})")
     stop = max(layer_indices, default=0)
-    per_layer = {li: [] for li in layer_indices}
-    ids = []
-    labels = []
-    for s in samples:
+    n = len(samples)
+    vectors = {}  # trace position -> (N, dim) float32, filled as the passes run
+    ids = np.empty(n, dtype=np.uint32)
+    labels = np.empty(n, dtype=np.uint8)
+    for i, s in enumerate(samples):
         _, trace = forward_with_trace(model, s.image, stop=stop)
         for li in layer_indices:
-            per_layer[li].append(trace.tensors[li].data.reshape(-1).astype(np.float32))
-        ids.append(s.sample_id)
-        labels.append(s.label)
-    ids = np.asarray(ids, dtype=np.uint32)
-    labels = np.asarray(labels, dtype=np.uint8)
+            a = trace.tensors[li].data
+            if li not in vectors:
+                vectors[li] = np.empty((n, a.size), dtype=np.float32)
+            vectors[li][i] = a.reshape(-1)
+        ids[i] = s.sample_id
+        labels[i] = s.label
     return [
-        AtlasIndex(li, np.stack(per_layer[li]), ids.copy(), labels.copy(), metric)
-        for li in layer_indices
+        AtlasIndex(li, vectors[li], ids.copy(), labels.copy(), metric) for li in layer_indices
     ]
 
 
+# float64 bytes of one block of index rows in _distances: a query's
+# temporaries stay near this size, whatever the size of the index
+_BLOCK_BYTES = 1 << 20
+
+
 def _distances(index: AtlasIndex, q: np.ndarray) -> np.ndarray:
-    v = index.vectors.astype(np.float64)
+    """Exact float64 distances of every index row to `q`, computed one block
+    of rows at a time; each row's arithmetic is that of the whole array."""
+    n, dim = index.vectors.shape
     q = q.astype(np.float64)
-    if index.metric == "euclidean":
-        return np.sqrt(((v - q[None, :]) ** 2).sum(axis=1))
-    # cosine distance as 0.5*|u_v - u_q|^2 == 1 - cos: exactly 0 for
-    # identical vectors, symmetric, never negative
-    qn = np.sqrt((q**2).sum())
-    vn = np.sqrt((v**2).sum(axis=1))
-    uq = q / qn if qn > 0 else q
-    uv = v / np.where(vn > 0, vn, 1)[:, None]
-    d = 0.5 * ((uv - uq[None, :]) ** 2).sum(axis=1)
-    if qn == 0:
-        # a zero vector has no direction: identical to another zero, else 1
-        d = np.where(vn == 0, 0.0, 1.0)
-    else:
-        d = np.where(vn > 0, d, 1.0)
+    rows = max(1, _BLOCK_BYTES // (8 * dim))
+    d = np.empty(n)
+    if index.metric == "cosine":
+        qn = np.sqrt((q**2).sum())
+        uq = q / qn if qn > 0 else q
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        v = index.vectors[block].astype(np.float64)
+        if index.metric == "euclidean":
+            d[block] = np.sqrt(((v - q[None, :]) ** 2).sum(axis=1))
+            continue
+        # cosine distance as 0.5*|u_v - u_q|^2 == 1 - cos: exactly 0 for
+        # identical vectors, symmetric, never negative
+        vn = np.sqrt((v**2).sum(axis=1))
+        if qn == 0:
+            # a zero vector has no direction: identical to another zero, else 1
+            d[block] = np.where(vn == 0, 0.0, 1.0)
+        else:
+            uv = v / np.where(vn > 0, vn, 1)[:, None]
+            d[block] = np.where(vn > 0, 0.5 * ((uv - uq[None, :]) ** 2).sum(axis=1), 1.0)
     return d
 
 

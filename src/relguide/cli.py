@@ -11,6 +11,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -161,6 +162,8 @@ def resolve_config(args, command: str) -> dict:
         raise UsageError(f'missing required key "seed" for {command} (config or --seed)')
     if cfg.get("seed") is not None and cfg["seed"] < 0:
         raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
+    if "score_floor" in cfg and not cfg["score_floor"] > 0:
+        raise UsageError(f"config key 'score_floor' must be > 0, got {cfg['score_floor']}")
     for key, choices in _CHOICES.items():
         if key in cfg and cfg[key] not in choices:
             raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}, "
@@ -601,10 +604,15 @@ def build_parser() -> _Parser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (UsageError, ConfigError, json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)

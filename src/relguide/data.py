@@ -15,6 +15,7 @@ order-independent.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -65,8 +66,16 @@ class GeneratorConfig:
             raise ConfigError("noise_sigma and texture_contrast must be >= 0")
 
 
-def _ellipse_mask(h, w, cy, cx, ry, rx, theta) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _grid(h, w):
+    """Read-only float64 row and column coordinates of an h x w image."""
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy.flags.writeable = xx.flags.writeable = False
+    return yy, xx
+
+
+def _ellipse_mask(h, w, cy, cx, ry, rx, theta) -> np.ndarray:
+    yy, xx = _grid(h, w)
     y = yy - cy
     x = xx - cx
     ct, st = np.cos(theta), np.sin(theta)
@@ -75,9 +84,12 @@ def _ellipse_mask(h, w, cy, cx, ry, rx, theta) -> np.ndarray:
     return u * u + v * v <= 1.0
 
 
-def _lowfreq_field(h, w, rng) -> np.ndarray:
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-    field = np.zeros((h, w))
+def _lowfreq_field(mask, rng) -> np.ndarray:
+    """A smooth texture at the pixels of `mask`, in row-major order."""
+    h, w = mask.shape
+    yy, xx = _grid(h, w)
+    yy, xx = yy[mask], xx[mask]
+    field = np.zeros(yy.shape)
     for _ in range(3):
         amp = rng.uniform(0.02, 0.08)
         fy, fx = rng.uniform(0.5, 2.0, 2)
@@ -129,7 +141,7 @@ def make_sample(cfg: GeneratorConfig, sample_id: int, label: int) -> LabeledSamp
     object_mask = _ellipse_mask(h, w, cy, cx, ry, rx, theta)
 
     base = np.full((h, w), 0.05)
-    base[object_mask] = 0.45 + _lowfreq_field(h, w, rng)[object_mask]
+    base[object_mask] = 0.45 + _lowfreq_field(object_mask, rng)
     chan_offsets = rng.uniform(-0.04, 0.04, 3)
     image = base[None, :, :] + chan_offsets[:, None, None]
 

@@ -285,11 +285,9 @@ def _conv_backshare_stack(r, cache, terms):
     rmat = r.reshape((r.shape[0],) + cache["zmat"].data.shape)
     out = None
     for t in terms:
-        # (M, C_out, L) x (C_out, Ckk) -> (M, Ckk, L)
-        ccols = np.tensordot(_safe_ratio(rmat, t.denom), t.w, axes=(1, 0)).transpose(0, 2, 1)
-        term = t.coef * kernels.col2im_stack(
-            np.ascontiguousarray(ccols), c_in, h, w, k, stride, padding
-        )
+        # (Ckk, C_out) x (M, C_out, L) -> (M, Ckk, L), C-contiguous
+        ccols = np.matmul(t.w.T, _safe_ratio(rmat, t.denom))
+        term = t.coef * kernels.col2im_stack(ccols, c_in, h, w, k, stride, padding)
         out = term if out is None else out + term
     return out
 

@@ -74,6 +74,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
 
 
 @dataclass

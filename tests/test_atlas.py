@@ -1,9 +1,12 @@
 """Atlas retrieval: exact-search guarantees, credibility, pair explanation,
 and the index file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from relguide import atlas
 from relguide.atlas import (
     AtlasIndex,
     build_index,
@@ -18,6 +21,7 @@ from relguide.bilrp import bilrp, embed, similarity
 from relguide.data import LabeledSample
 from relguide.errors import FormatError
 from relguide.lrp import LRPRuleConfig
+from relguide.network import forward_with_trace
 
 from helpers import random_conv_net
 
@@ -98,6 +102,25 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(model, [], [0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_vectors_equal_stacked_trace(self, rng, dtype):
+        """The in-place fill equals stacking each sample's trace entry cast
+        to float32, for two positions built in one call."""
+        model, _ = random_conv_net(rng, depth=2)
+        model = model.astype(dtype)
+        samples = _samples_from(model, rng, n=5)
+        indices = build_index(model, samples, [1, 3])
+        for idx in indices:
+            expected = np.stack([
+                forward_with_trace(model, s.image)[1].tensors[idx.layer_index]
+                .data.reshape(-1).astype(np.float32)
+                for s in samples
+            ])
+            assert idx.vectors.dtype == np.float32
+            assert idx.vectors.tobytes() == expected.tobytes()
+            np.testing.assert_array_equal(idx.ids, [s.sample_id for s in samples])
+            np.testing.assert_array_equal(idx.labels, [s.label for s in samples])
+
 
 class TestQuery:
     def test_atlas_member_is_own_first_neighbor(self, rng):
@@ -152,6 +175,52 @@ class TestQuery:
             d_xy = query_knn_vector(iy, x, 1)[0][1]
             d_yx = query_knn_vector(ix, y, 1)[0][1]
             assert d_xy == pytest.approx(d_yx, rel=1e-12)
+
+
+def whole_array_distances(index, q):
+    """The distance formula over the whole index in one float64 copy, the
+    reference for the row-blocked version."""
+    v = index.vectors.astype(np.float64)
+    q = q.astype(np.float64)
+    if index.metric == "euclidean":
+        return np.sqrt(((v - q[None, :]) ** 2).sum(axis=1))
+    qn = np.sqrt((q**2).sum())
+    vn = np.sqrt((v**2).sum(axis=1))
+    uq = q / qn if qn > 0 else q
+    uv = v / np.where(vn > 0, vn, 1)[:, None]
+    d = 0.5 * ((uv - uq[None, :]) ** 2).sum(axis=1)
+    if qn == 0:
+        return np.where(vn == 0, 0.0, 1.0)
+    return np.where(vn > 0, d, 1.0)
+
+
+class TestBlockedDistances:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_bit_identical_to_whole_array(self, rng, metric):
+        dim = 1000
+        rows = atlas._BLOCK_BYTES // (8 * dim)
+        n = 2 * rows + 7  # three blocks, the last one short
+        v = rng.normal(size=(n, dim)).astype(np.float32)
+        v[rows + 3] = 0
+        idx = AtlasIndex(0, v, np.arange(n, dtype=np.uint32), np.zeros(n, dtype=np.uint8), metric)
+        for q in (v[5], v[rows + 3], rng.normal(size=dim).astype(np.float32),
+                  rng.normal(size=dim)):
+            got = atlas._distances(idx, q)
+            assert got.tobytes() == whole_array_distances(idx, q).tobytes()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_query_memory_below_one_float64_copy(self, rng, metric):
+        n, dim = 512, 4096
+        idx = AtlasIndex(0, rng.standard_normal((n, dim), dtype=np.float32),
+                         np.arange(n, dtype=np.uint32), np.zeros(n, dtype=np.uint8), metric)
+        q = rng.standard_normal(dim, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            query_knn_vector(idx, q, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * dim * 8
 
 
 class TestCredibility:

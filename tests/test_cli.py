@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from relguide import cli
 from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, load_dataset, save_dataset
@@ -531,6 +532,19 @@ class TestExitCodes:
             run_cli("--version")
         assert e.value.code == 0
 
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        assert run_cli() == 1
+        first = len(built)
+        assert run_cli() == 1
+        assert len(built) == first <= 1
+
 
 class TestErrorTable:
     """One bad argument per row, over all seven subcommands: exit 1 for a
@@ -583,6 +597,14 @@ class TestErrorTable:
         ("experiment2", TRAIN, {"dense_units": -1}, 1),
         ("experiment2", TRAIN + ["--power", "-2"], None, 1),
         ("experiment2", ["--data", "{train}", "--val", "{missing}", "--seed", "1"], None, 2),
+        ("train", TRAIN, {"beta1": 2.0}, 1),
+        ("train", TRAIN, {"beta2": 1.0}, 1),
+        ("train", TRAIN, {"beta1": -0.1}, 1),
+        ("train", TRAIN, {"adam_eps": 0.0}, 1),
+        ("evaluate", SERVE, {"score_floor": -1.0}, 1),
+        ("explain", SERVE + ["--sample-id", "1000000"], {"score_floor": 0.0}, 1),
+        ("experiment1", TRAIN, {"beta2": 1.5}, 1),
+        ("experiment2", TRAIN, {"adam_eps": -1e-8}, 1),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
