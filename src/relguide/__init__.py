@@ -21,7 +21,7 @@ from .network import (
     load_weights,
     save_weights,
 )
-from .lrp import LRPRuleConfig, RelevanceMap, render_heatmap, sensitivity_map
+from .lrp import LRPRuleConfig, RelevanceMap, render_heatmap
 from .bilrp import JointRelevance, embed, similarity, top_connections
 from .atlas import AtlasIndex, build_index, credibility, explain_pair, query_knn
 from .data import GeneratorConfig, LabeledSample, augment, generate, load_dataset, save_dataset
@@ -49,7 +49,6 @@ __all__ = [
     "LRPRuleConfig",
     "RelevanceMap",
     "render_heatmap",
-    "sensitivity_map",
     "JointRelevance",
     "embed",
     "similarity",

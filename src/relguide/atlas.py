@@ -11,6 +11,7 @@ relevance decomposition from :mod:`relguide.bilrp`.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .bilrp import JointRelevance, bilrp
-from .errors import FormatError
+from .errors import FormatError, read_exact
 from .lrp import LRPRuleConfig
 from .network import Model, forward_with_trace
 
@@ -185,11 +186,7 @@ def save_index(index: AtlasIndex, path) -> None:
         f.write(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated atlas file while reading {what}")
-    return buf
+_read_exact = functools.partial(read_exact, kind="atlas")
 
 
 def load_index(path) -> AtlasIndex:

@@ -97,21 +97,34 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    """A finite float, or an integer that converts to one (NaN compares false)."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
 _TYPE_CHECKS = {
     "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "an integer >= 0": lambda v: _is_int(v) and v >= 0,
+    "an integer >= 1": lambda v: _is_int(v) and v >= 1,
+    "a finite number": _is_number,
+    "a finite number > 0": lambda v: _is_number(v) and v > 0,
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "a string or null": lambda v: v is None or isinstance(v, str),
-    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "a non-empty list of integers >= 1":
+        lambda v: isinstance(v, list) and v != [] and all(_is_int(c) and c >= 1 for c in v),
 }
 # keys whose value must be one of these
 _CHOICES = {"score_variant": SCORE_VARIANTS, "metric": METRICS}
-# keys whose default does not show the type their values must have
+# keys whose default does not show the type their values must have; every
+# other integer key is a count. `retrieve` checks k, grid and layer itself,
+# against the atlas and the model.
 _KEY_TYPES = {
-    "seed": "an integer", "layer": "an integer", "rule": "a string or null",
-    "conv_channels": "a list of integers",
+    "seed": "an integer >= 0", "layer": "an integer", "k": "an integer", "grid": "an integer",
+    "rule": "a string or null", "score_floor": "a finite number > 0",
+    "conv_channels": "a non-empty list of integers >= 1",
 }
+_FLAG_KEYS = ("seed", "loss", "power", "rule", "layer", "k", "grid")
 
 
 def _expected_type(key: str, default) -> str:
@@ -120,50 +133,39 @@ def _expected_type(key: str, default) -> str:
     if isinstance(default, bool):
         return "true or false"
     if isinstance(default, int):
-        return "an integer"
+        return "an integer >= 1"
     if isinstance(default, float):
-        return "a number"
+        return "a finite number"
     return "a string"
 
 
 def resolve_config(args, command: str) -> dict:
     """DEFAULTS[command], updated from --config (a flat JSON object or a
     manifest to replay) and then from flags. A loaded key must be one of the
-    command's defaults or `seed`, and its value must have the default's type."""
+    command's defaults or `seed`, and every value the user gives, from the
+    file or a flag, must have its key's type."""
     cfg = dict(DEFAULTS[command])
+    given = {}
     if getattr(args, "config", None):
         with open(args.config) as f:
-            loaded = json.load(f)
-        if isinstance(loaded, dict) and "command" in loaded and "config" in loaded:
-            loaded = loaded["config"]  # manifest replay
-        if not isinstance(loaded, dict):
+            given = json.load(f)
+        if isinstance(given, dict) and "command" in given and "config" in given:
+            given = given["config"]  # manifest replay
+        if not isinstance(given, dict):
             raise UsageError("a config must be a JSON object")
         for retired in ("threads", "unit_cap"):  # keys that older manifests record
-            loaded.pop(retired, None)
-        unknown = sorted(set(loaded) - set(cfg) - {"seed"})
+            given.pop(retired, None)
+        unknown = sorted(set(given) - set(cfg) - {"seed"})
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
-        for key, value in loaded.items():
-            expected = _expected_type(key, cfg.get(key))
-            if not _TYPE_CHECKS[expected](value):
-                raise UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
-        cfg.update(loaded)
-    if "conv_channels" in cfg and not (cfg["conv_channels"] and min(cfg["conv_channels"]) >= 1):
-        raise UsageError("config key 'conv_channels' must list at least one conv layer, "
-                         f"each with >= 1 channels, got {json.dumps(cfg['conv_channels'])}")
-    for flag, key in (
-        ("seed", "seed"), ("loss", "loss"), ("power", "power"), ("rule", "rule"),
-        ("layer", "layer"), ("k", "k"), ("grid", "grid"),
-    ):
-        v = getattr(args, flag, None)
-        if v is not None:
-            cfg[key] = v
+    given.update({k: getattr(args, k) for k in _FLAG_KEYS if getattr(args, k, None) is not None})
+    for key, value in given.items():
+        expected = _expected_type(key, cfg.get(key))
+        if not _TYPE_CHECKS[expected](value):
+            raise UsageError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
+    cfg.update(given)
     if command in _SEED_REQUIRED and cfg.get("seed") is None:
         raise UsageError(f'missing required key "seed" for {command} (config or --seed)')
-    if cfg.get("seed") is not None and cfg["seed"] < 0:
-        raise UsageError(f"seed must be >= 0, got {cfg['seed']}")
-    if "score_floor" in cfg and not cfg["score_floor"] > 0:
-        raise UsageError(f"config key 'score_floor' must be > 0, got {cfg['score_floor']}")
     for key, choices in _CHOICES.items():
         if key in cfg and cfg[key] not in choices:
             raise UsageError(f"config key {key!r} must be one of {', '.join(choices)}, "

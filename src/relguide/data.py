@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_exact
 
 DATASET_MAGIC = b"RGTD"
 DATASET_VERSION = 1
@@ -62,7 +62,7 @@ class GeneratorConfig:
             raise ConfigError("distractor_rho must be in [0,1]")
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be >= 1")
-        if self.noise_sigma < 0 or self.texture_contrast < 0:
+        if not (self.noise_sigma >= 0 and self.texture_contrast >= 0):
             raise ConfigError("noise_sigma and texture_contrast must be >= 0")
 
 
@@ -244,11 +244,7 @@ def save_dataset(samples, path) -> None:
             f.write(np.ascontiguousarray(s.lesion_mask, dtype="u1").tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated dataset file while reading {what}")
-    return buf
+_read_exact = functools.partial(read_exact, kind="dataset")
 
 
 def _record_size(c, h, w) -> int:

@@ -253,21 +253,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def matmul_t(a: Tensor, b: Tensor) -> Tensor:
-    """a.T @ b for a 2-D `a` and a 1-D or 2-D `b`, reading `a` in its own
-    layout: no transposed copy, and `a`'s gradient comes in `a`'s shape."""
-    ad, bd = a.data, b.data
-    _check_matmul("matmul_t", ad, bd, 0)
-    if bd.ndim == 1:
-        out = Tensor(bd @ ad, (a, b), dtype=None)
-        leaf = not a.parents
-        out.bwd = lambda g: (_outer(bd, g, leaf), ad @ g)
-    else:
-        out = Tensor(ad.T @ bd, (a, b), dtype=None)
-        out.bwd = lambda g: (bd @ g.T, ad @ g)
-    return out
-
-
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = W @ x + b for a 1-D input."""
     if x.data.ndim != 1 or weight.data.ndim != 2:

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the exact read of the
+binary file readers."""
 
 
 class DimensionError(ValueError):
@@ -23,3 +24,12 @@ class ScoreError(ValueError):
 
 class UsageError(ValueError):
     """The command line or a config file was used incorrectly."""
+
+
+def read_exact(f, n: int, what: str, kind: str) -> bytes:
+    """The next `n` bytes of `f`; a short read is a FormatError naming the
+    file `kind` and `what` was being read."""
+    buf = f.read(n)
+    if len(buf) != n:
+        raise FormatError(f"truncated {kind} file while reading {what}")
+    return buf

@@ -1,5 +1,4 @@
-"""Layer-wise relevance propagation, a squared-gradient sensitivity
-baseline, and heatmap export.
+"""Layer-wise relevance propagation and heatmap export.
 
 Relevance is redistributed from an output neuron back through the layer
 stack. Two propagation rules are provided per linear/conv layer:
@@ -78,11 +77,11 @@ class LRPRuleConfig:
         for rule in (self.dense_rule, self.conv_rule):
             if rule not in ("epsilon", "alphabeta"):
                 raise ConfigError(f"unknown LRP rule {rule!r}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ConfigError("epsilon must be >= 0")
-        if abs(self.alpha - self.beta - 1.0) > 1e-9:
+        if not abs(self.alpha - self.beta - 1.0) <= 1e-9:
             raise ConfigError(f"alpha - beta must equal 1, got {self.alpha} - {self.beta}")
-        if self.alpha < 1:
+        if not self.alpha >= 1:
             raise ConfigError("alpha must be >= 1")
 
     def rule_for(self, kind: str) -> str:
@@ -439,23 +438,6 @@ def input_relevance(
     seeds = np.zeros((1,) + logits.shape, dtype=logits.dtype)
     seeds[0, target_class] = logits[target_class]
     return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
-
-
-# ---------------------------------------------------------------------------
-# sensitivity baseline
-# ---------------------------------------------------------------------------
-
-def sensitivity_map(model: Model, x, target_class: int) -> np.ndarray:
-    """Elementwise squared gradient of the target logit w.r.t. the input."""
-    if not 0 <= target_class < model.n_classes:
-        raise ValueError(f"target class {target_class} out of range")
-    logits, trace = forward_with_trace(model, x, training=False)
-    onehot = np.zeros(logits.data.shape, dtype=logits.data.dtype)
-    onehot[target_class] = 1
-    target = engine.sum_all(engine.mul(logits, Tensor(onehot, dtype=None)))
-    grads = engine.backward(target)
-    g = engine.grad_for(grads, trace.tensors[0])
-    return g * g
 
 
 # ---------------------------------------------------------------------------

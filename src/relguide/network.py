@@ -9,6 +9,7 @@ same trace.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import engine, kernels
 from .engine import Tensor
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError, read_exact
 
 WEIGHT_MAGIC = b"RGTW"
 WEIGHT_VERSION = 1
@@ -263,11 +264,7 @@ def save_weights(model: Model, path) -> None:
             f.write(data.tobytes())
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated weight file while reading {what}")
-    return buf
+_read_exact = functools.partial(read_exact, kind="weight")
 
 
 def read_weight_tensors(path) -> dict:

@@ -48,9 +48,9 @@ class LossConfig:
     def __post_init__(self):
         if self.mode not in LOSS_MODES:
             raise ConfigError(f"unknown loss mode {self.mode!r}")
-        if self.power < 0:
+        if not self.power >= 0:
             raise ConfigError("power must be >= 0")
-        if self.score_floor <= 0:
+        if not self.score_floor > 0:
             raise ConfigError("score_floor must be > 0")
         if self.score_variant not in SCORE_VARIANTS:
             raise ConfigError(f"unknown score variant {self.score_variant!r}")
@@ -72,7 +72,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError("learning_rate must be >= 0")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
@@ -116,19 +116,17 @@ def lesion_relevance_score(
     object_mask: np.ndarray,
     variant: str = "unnormalized",
     floor: float = 1e-3,
-    clip_per_pixel: bool = False,
 ) -> float:
     """Share of positive input relevance inside the lesion, against the
     rest of the object: r_lesion / (r_lesion + r_rest), clamped at `floor`.
 
-    Relevance is channel-summed and then clipped at zero (set
-    ``clip_per_pixel`` to clip before the channel sum); relevance outside
+    Relevance is channel-summed and then clipped at zero; relevance outside
     the object counts in neither term. The area-normalized variant divides
     each sum by its region's pixel count.
     """
     rel = np.asarray(relevance)
     if rel.ndim == 3:
-        rel2d = np.maximum(rel, 0).sum(axis=0) if clip_per_pixel else np.maximum(rel.sum(axis=0), 0)
+        rel2d = np.maximum(rel.sum(axis=0), 0)
     elif rel.ndim == 2:
         rel2d = np.maximum(rel, 0)
     else:

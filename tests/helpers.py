@@ -8,7 +8,8 @@ relevance route (itself checked against the graph route and hand-unrolled
 rules) to check the transposed route BiLRP uses, and
 `relevance_graph_reference` builds the graph route out of autodiff
 primitives, so the backward of its fused rule nodes has a second
-derivation to agree with.
+derivation to agree with. `matmul_t`, the transposed product that
+reference is built with, is an autodiff op that only the tests use.
 """
 
 import numpy as np
@@ -199,6 +200,22 @@ def stabilized_ratio(r, z, eps_scale, sign=0):
     return out
 
 
+def matmul_t(a, b):
+    """a.T @ b for a 2-D `a` and a 1-D or 2-D `b`, reading `a` in its own
+    layout: no transposed copy, and `a`'s gradient comes in `a`'s shape (as
+    factor pairs when `a` is a leaf and `b` a vector, like `engine.matmul`)."""
+    ad, bd = a.data, b.data
+    E._check_matmul("matmul_t", ad, bd, 0)
+    if bd.ndim == 1:
+        out = Tensor(bd @ ad, (a, b), dtype=None)
+        leaf = not a.parents
+        out.bwd = lambda g: (E._outer(bd, g, leaf), ad @ g)
+    else:
+        out = Tensor(ad.T @ bd, (a, b), dtype=None)
+        out.bwd = lambda g: (bd @ g.T, ad @ g)
+    return out
+
+
 def col2im_node(cols, geom):
     c, h, w, k, stride, padding, _, _ = geom
     out = Tensor(kernels.col2im(cols.data, c, h, w, k, stride, padding), (cols,), dtype=None)
@@ -225,7 +242,7 @@ def _rule_graph(r, a, x, weight, bias, z, rules, rule, conv_geom=None):
             parts.append((w_part, E.add(E.matmul(w_part, x), b_part), sign, coef))
     c = None
     for w_part, z_part, sign, coef in parts:
-        term = E.matmul_t(w_part, stabilized_ratio(r, z_part, rules.epsilon, sign))
+        term = matmul_t(w_part, stabilized_ratio(r, z_part, rules.epsilon, sign))
         if conv_geom is not None:
             term = col2im_node(term, conv_geom)
         if coef != 1.0:

@@ -2,6 +2,7 @@
 recomputation contracts between printed values and written files."""
 
 import json
+import math
 import os
 import re
 import struct
@@ -471,7 +472,16 @@ _REQUIRED_ARGS = {
     "evaluate": ["--weights", "unused.rgtw", "--data", "unused.rgtd"],
     "retrieve": ["--weights", "unused.rgtw", "--atlas", "unused.rgtd", "--query-id", "0"],
     "experiment2": ["--data", "unused.rgtd"],
+    "explain": ["--weights", "unused.rgtw", "--data", "unused.rgtd", "--sample-id", "0"],
+    "experiment1": ["--data", "unused.rgtd"],
 }
+# every float key of every command, set to NaN and to Infinity
+_NON_FINITE = [
+    (command, {key: value}, key)
+    for command, defaults in DEFAULTS.items()
+    for key, default in defaults.items() if isinstance(default, float)
+    for value in (math.nan, math.inf, -math.inf)
+]
 
 
 class TestConfigValues:
@@ -492,7 +502,15 @@ class TestConfigValues:
         ("train", [1, 2], "JSON object"),
         ("train", {"conv_channels": []}, "conv_channels"),
         ("experiment2", {"seed": 1, "conv_channels": [8, 0]}, "conv_channels"),
-    ])
+        # counts are named by the key the user wrote
+        ("experiment2", {"iterations": 0}, "iterations"),
+        ("generate", {"val_per_class": 0}, "val_per_class"),
+        ("train", {"dense_units": 0}, "dense_units"),
+        ("train", {"seed": -1}, "seed"),
+        ("evaluate", {"alpha": math.nan, "beta": math.nan}, "alpha"),
+        ("train", {"power": math.nan, "loss": "penalization"}, "power"),
+        ("train", {"learning_rate": 10**400}, "learning_rate"),  # no float holds it
+    ] + _NON_FINITE)
     def test_bad_value_is_usage_error(self, tmp_path, capsys, command, config, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -501,6 +519,17 @@ class TestConfigValues:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, argv", [("train", ["--loss", "penalization"]),
+                                               ("experiment2", [])])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_power_flag(self, tmp_path, capsys, command, argv, value):
+        code = run_cli(command, *_REQUIRED_ARGS[command], *argv, "--power", value,
+                       "--out", str(tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "power" in err
         assert not (tmp_path / "o").exists()
 
     def test_accepted_values(self, tmp_path):

@@ -90,6 +90,13 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             GeneratorConfig(height=8)
 
+    @pytest.mark.parametrize("key", [
+        "lesion_area_min", "lesion_area_max", "texture_contrast", "distractor_rho", "noise_sigma",
+    ])
+    def test_config_validation_nan(self, key):
+        with pytest.raises(ConfigError):
+            GeneratorConfig(**{key: float("nan")})
+
 
 class TestAugment:
     def test_identity_transform(self):

@@ -65,20 +65,6 @@ class TestLesionRelevanceScore:
         assert got == pytest.approx(0.5)
         assert got == pytest.approx(oracle_score(rel, lesion, obj))
 
-    def test_clip_per_pixel_option(self):
-        # channels +2/-1 at one pixel: clip-after-sum sees +1, clip-before
-        # sees +2
-        rel = np.zeros((2, 2, 2), dtype=np.float32)
-        rel[0, 0, 0] = 2.0
-        rel[1, 0, 0] = -1.0
-        rel[0, 1, 1] = 1.0
-        lesion = np.array([[1, 0], [0, 0]], dtype=np.uint8)
-        obj = np.ones((2, 2), dtype=np.uint8)
-        after = lesion_relevance_score(rel, lesion, obj)
-        before = lesion_relevance_score(rel, lesion, obj, clip_per_pixel=True)
-        assert after == pytest.approx(1.0 / 2.0)
-        assert before == pytest.approx(2.0 / 3.0)
-
     def test_empty_lesion_raises(self):
         rel = np.ones((1, 2, 2), dtype=np.float32)
         with pytest.raises(ScoreError):
@@ -303,6 +289,17 @@ class TestTrain:
             LossConfig(mode="nonsense")
         with pytest.raises(ConfigError):
             LossConfig(score_floor=0.0)
+
+    @pytest.mark.parametrize("config, kw", [
+        (TrainConfig, {"learning_rate": float("nan")}),
+        (TrainConfig, {"beta1": float("nan")}),
+        (TrainConfig, {"adam_eps": float("nan")}),
+        (LossConfig, {"power": float("nan")}),
+        (LossConfig, {"score_floor": float("nan")}),
+    ])
+    def test_config_validation_nan(self, config, kw):
+        with pytest.raises(ConfigError):
+            config(**kw)
 
 
 class TestTwoPathGradient:
