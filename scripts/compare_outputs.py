@@ -12,13 +12,15 @@ commands into a temporary directory of its own:
 * ``evaluate`` of both weight files, the guided one also with the
   alpha2-beta1 rule;
 * ``explain`` of two validation samples, one also with the epsilon rule;
-* ``retrieve`` at trace positions 3 and 7, and at 7 with the cosine metric.
+* ``retrieve`` at trace positions 3 and 7, and at 7 with the cosine metric;
+* ``experiment1`` for one epoch and ``experiment2`` for two iterations.
 
 It then lists every output file that differs between the two trees, or
 exists under one only. Manifests are compared with ``duration_seconds``
 removed. For a weight file or ``metrics.csv`` that differs, it prints the
 largest |difference| of each tensor or column, relative to that tensor's or
-column's largest |entry| under SRC_A.
+column's largest |entry| under SRC_A (training curves of the experiments
+included).
 
 A second pass separates training from serving: SRC_B runs the
 ``evaluate``, ``explain`` and ``retrieve`` commands again on SRC_A's
@@ -31,6 +33,7 @@ Exit status: 0 when nothing differs in either pass, 1 when a file differs,
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -40,6 +43,8 @@ import numpy as np
 
 BLAS_ENV = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 VAL = 1_000_000  # first validation sample id (relguide.cli.VAL_ID_OFFSET)
+# training curves: CSV files of numeric columns under a header
+CURVES = re.compile(r"metrics(_\w+)?\.csv|conventional\.csv|guided\.csv")
 
 CONFIGS = {
     "generate.json": {"samples_per_class": 24, "val_per_class": 12},
@@ -47,6 +52,8 @@ CONFIGS = {
     "guided.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99},
     "alpha2beta1.json": {"alpha": 2.0, "beta": 1.0},
     "cosine.json": {"metric": "cosine"},
+    "experiment1.json": {"epochs": 1},
+    "experiment2.json": {"iterations": 2},
 }
 
 COMMANDS = [
@@ -72,6 +79,10 @@ COMMANDS = [
     ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
      "--query-id", "5", "--layer", "7", "--k", "3", "--config", "cosine.json",
      "--out", "retrieve7_cosine"],
+    ["experiment1", "--data", "data/train.rgtd", "--val", "data/val.rgtd",
+     "--config", "experiment1.json", "--seed", "12", "--out", "experiment1"],
+    ["experiment2", "--data", "data/train.rgtd", "--val", "data/val.rgtd",
+     "--config", "experiment2.json", "--seed", "12", "--out", "experiment2"],
 ]
 
 
@@ -142,10 +153,10 @@ def read_columns(blob: bytes) -> dict:
 
 def drift(path: str, a: bytes, b: bytes) -> list:
     """'name: |d|/max' lines for each tensor or column of a differing weight
-    file or metrics CSV, relative to its largest |entry| under SRC_A."""
+    file or training curve, relative to its largest |entry| under SRC_A."""
     if path.endswith(".rgtw"):
         ta, tb = read_weights(a), read_weights(b)
-    elif os.path.basename(path) == "metrics.csv":
+    elif CURVES.fullmatch(os.path.basename(path)):
         ta, tb = read_columns(a), read_columns(b)
     else:
         return []

@@ -23,7 +23,7 @@ from .network import (
 )
 from .lrp import LRPRuleConfig, RelevanceMap, render_heatmap
 from .bilrp import JointRelevance, embed, similarity, top_connections
-from .atlas import AtlasIndex, build_index, credibility, explain_pair, query_knn
+from .atlas import AtlasIndex, build_index, credibility, query_knn
 from .data import GeneratorConfig, LabeledSample, augment, generate, load_dataset, save_dataset
 from .training import (
     LossConfig,
@@ -56,7 +56,6 @@ __all__ = [
     "AtlasIndex",
     "build_index",
     "credibility",
-    "explain_pair",
     "query_knn",
     "GeneratorConfig",
     "LabeledSample",

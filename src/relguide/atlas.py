@@ -15,13 +15,10 @@ import functools
 import os
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bilrp import JointRelevance, bilrp
 from .errors import FormatError, read_exact
-from .lrp import LRPRuleConfig
 from .network import Model, forward_with_trace
 
 ATLAS_MAGIC = b"RGTA"
@@ -48,32 +45,25 @@ class AtlasIndex:
         return self.vectors.shape[0]
 
 
-def build_index(model: Model, samples, layer_indices, metric="euclidean") -> list:
-    """One index per requested trace position; vectors are inference-mode
-    activations (dropout off) of passes that stop at the deepest position."""
+def build_index(model: Model, samples, layer_index: int, metric="euclidean") -> AtlasIndex:
+    """The index of `samples` at one trace position; vectors are
+    inference-mode activations (dropout off) of passes that stop there.
+    A position outside the trace is an IndexError."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot build an index from an empty sample set")
-    for li in layer_indices:
-        if not 0 <= li <= len(model.layers):
-            raise IndexError(f"layer index {li} out of range (0..{len(model.layers)})")
-    stop = max(layer_indices, default=0)
     n = len(samples)
-    vectors = {}  # trace position -> (N, dim) float32, filled as the passes run
+    vectors = None  # (N, dim) float32, filled as the passes run
     ids = np.empty(n, dtype=np.uint32)
     labels = np.empty(n, dtype=np.uint8)
     for i, s in enumerate(samples):
-        _, trace = forward_with_trace(model, s.image, stop=stop)
-        for li in layer_indices:
-            a = trace.tensors[li].data
-            if li not in vectors:
-                vectors[li] = np.empty((n, a.size), dtype=np.float32)
-            vectors[li][i] = a.reshape(-1)
+        a = forward_with_trace(model, s.image, stop=layer_index)[0].data
+        if vectors is None:
+            vectors = np.empty((n, a.size), dtype=np.float32)
+        vectors[i] = a.reshape(-1)
         ids[i] = s.sample_id
         labels[i] = s.label
-    return [
-        AtlasIndex(li, vectors[li], ids.copy(), labels.copy(), metric) for li in layer_indices
-    ]
+    return AtlasIndex(layer_index, vectors, ids, labels, metric)
 
 
 # float64 bytes of one block of index rows in _distances: a query's
@@ -138,29 +128,6 @@ def credibility(neighbors, predicted_label: int) -> float:
         raise ValueError("credibility needs at least one neighbor")
     agree = sum(1 for _, _, label in neighbors if label == predicted_label)
     return agree / len(neighbors)
-
-
-def explain_pair(
-    model: Model,
-    x,
-    atlas_sample,
-    layer_index: int,
-    rules: Optional[LRPRuleConfig] = None,
-    grid: int = 8,
-    query_id: int = -1,
-) -> JointRelevance:
-    """Joint relevance between a query and one retrieved atlas sample. `x`
-    is the query input or its :class:`~relguide.bilrp.UnitRelevance`, which
-    a caller explaining several neighbours computes once."""
-    return bilrp(
-        model,
-        x,
-        atlas_sample.image,
-        layer_index,
-        rules=rules,
-        grid=grid,
-        pair=(query_id, atlas_sample.sample_id),
-    )
 
 
 # ---------------------------------------------------------------------------

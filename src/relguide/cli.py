@@ -21,10 +21,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .atlas import METRICS, build_index, credibility, explain_pair, query_knn_vector
-from .bilrp import export_json, unit_relevance
+from .atlas import METRICS, build_index, credibility, query_knn_vector
+from .bilrp import bilrp, export_json, unit_relevance
 from .data import GeneratorConfig, generate, load_dataset, load_sample, save_dataset
-from .errors import ConfigError, FormatError, NumericalError, ScoreError, UsageError
+from .errors import ConfigError, DimensionError, FormatError, NumericalError, ScoreError, UsageError
 from .lrp import LRPRuleConfig, input_relevance, render_heatmap
 from .network import (
     build_model,
@@ -35,7 +35,6 @@ from .network import (
     save_weights,
 )
 from .training import (
-    METRICS_FLOOR,
     SCORE_VARIANTS,
     LossConfig,
     TrainConfig,
@@ -57,7 +56,7 @@ DEFAULTS = {
         "epochs": 20, "batch_size": 16, "learning_rate": 1e-3, "beta1": 0.9,
         "beta2": 0.999, "adam_eps": 1e-8, "augment": True,
         "loss": "original", "power": 1.0, "score_floor": 1e-3,
-        "score_variant": "unnormalized", "detach_score": False,
+        "score_variant": "unnormalized",
         "rule": None, "epsilon": 1e-6, "alpha": 1.0, "beta": 0.0,
         "conv_channels": [16, 32, 64, 128], "dense_units": 256, "dropout_rate": 0.25,
     },
@@ -75,7 +74,7 @@ DEFAULTS = {
     },
 }
 DEFAULTS["experiment1"] = {
-    k: v for k, v in DEFAULTS["train"].items() if k not in ("loss", "power", "detach_score")
+    k: v for k, v in DEFAULTS["train"].items() if k not in ("loss", "power")
 }
 # the runners' own choices (see README): a higher score floor caps the
 # penalization factor of samples whose relevance is still mostly negative, and a
@@ -155,6 +154,8 @@ def resolve_config(args, command: str) -> dict:
             raise UsageError("a config must be a JSON object")
         for retired in ("threads", "unit_cap"):  # keys that older manifests record
             given.pop(retired, None)
+        if given.pop("detach_score", False) is not False:  # the removed option was never on
+            raise UsageError("config key 'detach_score' was removed: only false can be replayed")
         unknown = sorted(set(given) - set(cfg) - {"seed"})
         if unknown:
             raise UsageError(f"unknown config keys for {command}: {', '.join(unknown)}")
@@ -174,21 +175,19 @@ def resolve_config(args, command: str) -> dict:
 
 
 def rules_from_config(cfg: dict) -> LRPRuleConfig:
-    kw = {"epsilon": cfg.get("epsilon", 1e-6), "alpha": cfg.get("alpha", 1.0), "beta": cfg.get("beta", 0.0)}
-    rule = cfg.get("rule")
-    if rule is None:
+    kw = {"epsilon": cfg["epsilon"], "alpha": cfg["alpha"], "beta": cfg["beta"]}
+    if cfg["rule"] is None:
         return LRPRuleConfig(**kw)
-    return LRPRuleConfig.uniform(rule, **kw)
+    return LRPRuleConfig.uniform(cfg["rule"], **kw)
 
 
 def loss_config_from(cfg: dict, mode=None, power=None) -> LossConfig:
     return LossConfig(
-        mode=mode if mode is not None else cfg.get("loss", "original"),
-        power=power if power is not None else cfg.get("power", 1.0),
+        mode=mode if mode is not None else cfg["loss"],
+        power=power if power is not None else cfg["power"],
         rules=rules_from_config(cfg),
-        score_floor=cfg.get("score_floor", 1e-3),
-        score_variant=cfg.get("score_variant", "unnormalized"),
-        detach_score=cfg.get("detach_score", False),
+        score_floor=cfg["score_floor"],
+        score_variant=cfg["score_variant"],
     )
 
 
@@ -207,9 +206,9 @@ def train_config_from(cfg: dict, epochs=None) -> TrainConfig:
 
 def layers_from_config(cfg: dict) -> list:
     return default_layers(
-        conv_channels=tuple(cfg.get("conv_channels", (16, 32, 64, 128))),
-        dense_units=int(cfg.get("dense_units", 256)),
-        dropout_rate=float(cfg.get("dropout_rate", 0.25)),
+        conv_channels=tuple(cfg["conv_channels"]),
+        dense_units=int(cfg["dense_units"]),
+        dropout_rate=float(cfg["dropout_rate"]),
     )
 
 
@@ -241,9 +240,16 @@ def _ensure_out(args) -> str:
     return out
 
 
+def _check_input_shape(shape, model_shape) -> None:
+    """The error the forward pass would raise, before --out exists."""
+    if shape != model_shape:
+        raise DimensionError(f"input {shape} does not match model {model_shape}")
+
+
 def _load_sets(args):
     train_set = load_dataset(args.data)
     val_set = load_dataset(args.val) if args.val else train_set
+    _check_input_shape(val_set[0].image.shape, train_set[0].image.shape)
     return train_set, val_set
 
 
@@ -252,7 +258,8 @@ def _check_run_config(cfg: dict, train_set, epochs=None) -> None:
     an experiment before --out exists (the runners build them per run)."""
     infer_shapes(layers_from_config(cfg), train_set[0].image.shape)
     train_config_from(cfg, epochs)
-    loss_config_from(cfg, mode="penalization")
+    # experiment 1 has no power key: each of its rows sets its own
+    loss_config_from(cfg, mode="penalization", power=cfg.get("power", 0.0))
 
 
 def _sample_by_id(samples, sample_id: int):
@@ -314,6 +321,7 @@ def cmd_evaluate(args) -> int:
     rules = rules_from_config(cfg)
     dataset = load_dataset(args.data)
     model = load_weights(args.weights)
+    _check_input_shape(dataset[0].image.shape, model.input_shape)
     out = _ensure_out(args)
     acc, f1w, s0, s1 = evaluate(model, dataset, rules, cfg["score_variant"], cfg["score_floor"])
     result = {"accuracy": acc, "f1_weighted": f1w, "score_class0": s0, "score_class1": s1}
@@ -332,6 +340,7 @@ def cmd_explain(args) -> int:
     if sample is None:
         raise UsageError(f"sample id {args.sample_id} not found in dataset")
     model = load_weights(args.weights)
+    _check_input_shape(sample.image.shape, model.input_shape)
     out = _ensure_out(args)
     logits, trace = forward_with_trace(model, sample.image)
     pred = int(np.argmax(logits.data))
@@ -380,6 +389,7 @@ def cmd_retrieve(args) -> int:
     atlas_set = load_dataset(args.atlas)
     query = _sample_by_id(atlas_set, args.query_id)
     model = load_weights(args.weights)
+    _check_input_shape(query.image.shape, model.input_shape)
     rules = rules_from_config(cfg)
     layer = int(cfg["layer"])
     if not 0 <= layer <= len(model.layers):
@@ -392,7 +402,7 @@ def cmd_retrieve(args) -> int:
     if grid < 1 or h % grid or w % grid:
         raise UsageError(f"--grid {grid} must be >= 1 and divide the input size {h}x{w}")
     out = _ensure_out(args)
-    index = build_index(model, atlas_set, [layer], metric=cfg["metric"])[0]
+    index = build_index(model, atlas_set, layer, metric=cfg["metric"])
     # one forward pass of the query serves the search, the prediction and
     # its half of every neighbour's joint relevance
     logits, trace = forward_with_trace(model, query.image)
@@ -403,9 +413,8 @@ def cmd_retrieve(args) -> int:
     artifacts = []
     by_id = {s.sample_id: s for s in atlas_set}
     for nid, _, _ in neighbors:
-        joint = explain_pair(
-            model, query_units, by_id[nid], layer, rules, grid=grid, query_id=query.sample_id
-        )
+        joint = bilrp(model, query_units, by_id[nid].image, layer, rules, grid=grid,
+                      pair=(query.sample_id, nid))
         name = f"bilrp_{query.sample_id}_{nid}.json"
         export_json(joint, os.path.join(out, name))
         artifacts.append(name)
@@ -450,10 +459,8 @@ def run_experiment1(train_set, val_set, cfg: dict, out_dir: str) -> list:
         model = model_from_config(cfg, train_set[0].image.shape, seed)
         loss_cfg = loss_config_from(cfg, mode=mode, power=power)
         model, records = train(model, train_set, val_set, loss_cfg, train_config_from(cfg))
-        acc, f1w, s0, s1 = evaluate(
-            model, val_set, loss_cfg.rules, cfg["score_variant"], METRICS_FLOOR
-        )
-        rows.append((name, acc, f1w, s0, s1))
+        last = records[-1]  # train's own evaluation of the final model on val_set
+        rows.append((name, last.accuracy, last.f1_weighted, last.score_class0, last.score_class1))
         tag = name.lower().replace(" ", "")
         save_weights(model, os.path.join(out_dir, f"weights_{tag}.rgtw"))
         write_metrics_csv(records, os.path.join(out_dir, f"metrics_{tag}.csv"))

@@ -63,48 +63,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, dtype=None)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, name={self.name})"
-
-    # -- operator sugar over the module-level ops -------------------------
-    def __add__(self, other):
-        return add(self, _lift(other, self))
-
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other, self))
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other, self))
-
-    def __rmul__(self, other):
-        return mul(_lift(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other, self), self)
-
-    def __pow__(self, p):
-        return pow_const(self, float(p))
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _lift(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype), dtype=None)
 
 
 def const(x, dtype=np.float32) -> Tensor:

@@ -42,7 +42,6 @@ class LossConfig:
     rules: LRPRuleConfig = field(default_factory=LRPRuleConfig)
     score_floor: float = 1e-3
     score_variant: str = "unnormalized"
-    detach_score: bool = False
     constant_score: Optional[float] = None  # test hook: overrides the computed score
 
     def __post_init__(self):
@@ -228,8 +227,6 @@ def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale, ba
             score = engine.const(
                 np.asarray(loss_cfg.constant_score, dtype=score.data.dtype), dtype=None
             )
-        elif loss_cfg.detach_score:
-            score = score.detach()
         loss = guided_loss(
             logits, sample.label, score, loss_cfg.power, loss_cfg.score_floor
         )

@@ -1,5 +1,5 @@
-"""Atlas retrieval: exact-search guarantees, credibility, pair explanation,
-and the index file format."""
+"""Atlas retrieval: exact-search guarantees, credibility, BiLRP of retrieved
+pairs, and the index file format."""
 
 import tracemalloc
 
@@ -11,7 +11,6 @@ from relguide.atlas import (
     AtlasIndex,
     build_index,
     credibility,
-    explain_pair,
     load_index,
     query_knn,
     query_knn_vector,
@@ -78,41 +77,41 @@ class TestBuildIndex:
     def test_one_vector_per_sample(self, rng):
         model, _ = random_conv_net(rng)
         samples = _samples_from(model, rng, n=5)
-        indices = build_index(model, samples, [0, 2])
-        assert len(indices) == 2
-        for idx in indices:
-            assert len(idx) == 5
+        for position in (0, 2):
+            idx = build_index(model, samples, position)
+            assert len(idx) == 5 and idx.layer_index == position
 
     def test_deterministic(self, rng):
         model, _ = random_conv_net(rng)
         samples = _samples_from(model, rng, n=4)
-        a = build_index(model, samples, [1])[0]
-        b = build_index(model, samples, [1])[0]
+        a = build_index(model, samples, 1)
+        b = build_index(model, samples, 1)
         np.testing.assert_array_equal(a.vectors, b.vectors)
 
     def test_vectors_equal_embed(self, rng):
         model, _ = random_conv_net(rng)
         samples = _samples_from(model, rng, n=4)
-        idx = build_index(model, samples, [2])[0]
+        idx = build_index(model, samples, 2)
         for i, s in enumerate(samples):
             np.testing.assert_array_equal(idx.vectors[i], embed(model, s.image, 2))
 
     def test_empty_set_rejected(self, rng):
         model, _ = random_conv_net(rng)
         with pytest.raises(ValueError):
-            build_index(model, [], [0])
+            build_index(model, [], 0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_vectors_equal_stacked_trace(self, rng, dtype):
-        """The in-place fill equals stacking each sample's trace entry cast
-        to float32, for two positions built in one call."""
+        """The in-place fill equals stacking each sample's full-pass trace
+        entry cast to float32, at an inner and a deeper position."""
         model, _ = random_conv_net(rng, depth=2)
         model = model.astype(dtype)
         samples = _samples_from(model, rng, n=5)
-        indices = build_index(model, samples, [1, 3])
-        for idx in indices:
+        for position in (1, 3):
+            idx = build_index(model, samples, position)
+            assert idx.layer_index == position
             expected = np.stack([
-                forward_with_trace(model, s.image)[1].tensors[idx.layer_index]
+                forward_with_trace(model, s.image)[1].tensors[position]
                 .data.reshape(-1).astype(np.float32)
                 for s in samples
             ])
@@ -126,7 +125,7 @@ class TestQuery:
     def test_atlas_member_is_own_first_neighbor(self, rng):
         model, _ = random_conv_net(rng)
         samples = _samples_from(model, rng, n=6)
-        idx = build_index(model, samples, [2])[0]
+        idx = build_index(model, samples, 2)
         got = query_knn(idx, samples[3].image, model, 3)
         assert got[0] == (3, 0.0, samples[3].label)
 
@@ -244,17 +243,9 @@ class TestExplainPair:
         model, _ = random_conv_net(rng, input_hw=8, with_bias=False)
         samples = _samples_from(model, rng, n=2)
         s = samples[0]
-        joint = explain_pair(model, s.image, s, 2, EPS, grid=4)
+        joint = bilrp(model, s.image, s.image, 2, EPS, grid=4)
         sim = similarity(model, s.image, s.image, 2)
         assert joint.total() == pytest.approx(sim, rel=1e-3)
-
-    def test_equals_direct_bilrp(self, rng):
-        model, _ = random_conv_net(rng, input_hw=8)
-        samples = _samples_from(model, rng, n=2)
-        joint = explain_pair(model, samples[0].image, samples[1], 2, EPS, grid=4)
-        direct = bilrp(model, samples[0].image, samples[1].image, 2, EPS, grid=4)
-        np.testing.assert_array_equal(joint.matrix, direct.matrix)
-        assert joint.pair == (-1, samples[1].sample_id)
 
     def test_shared_bright_patch_is_top_connection(self, rng):
         """Two images sharing one bright patch at layer 0 link exactly

@@ -14,7 +14,7 @@ import pytest
 from relguide import cli
 from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
-from relguide.data import GeneratorConfig, load_dataset, save_dataset
+from relguide.data import GeneratorConfig, generate, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, input_relevance, read_heatmap_csv, render_heatmap
 from relguide.errors import FormatError
 from relguide.network import (
@@ -146,6 +146,25 @@ class TestTrain:
         )
         assert code == 0
         assert (out / "weights.rgtw").read_bytes() == (workspace / "run" / "weights.rgtw").read_bytes()
+
+    def test_manifest_with_removed_detach_score_key(self, workspace, tmp_path, capsys):
+        # manifests written while the option existed record it as false, and
+        # replay; a run with it on can no longer be reproduced, and is refused
+        manifest = json.loads((workspace / "run" / "manifest.json").read_text())
+        assert "detach_score" not in manifest["config"]
+        data = workspace / "data"
+        for value, code in ((False, 0), (True, 1)):
+            manifest["config"]["detach_score"] = value
+            path = tmp_path / f"manifest_{value}.json"
+            path.write_text(json.dumps(manifest))
+            assert run_cli("train", "--data", str(data / "train.rgtd"), "--val",
+                           str(data / "val.rgtd"), "--out", str(tmp_path / str(value)),
+                           "--config", str(path)) == code
+        for name in ("weights.rgtw", "metrics.csv"):
+            assert (tmp_path / "False" / name).read_bytes() == (workspace / "run" / name).read_bytes()
+        assert not (tmp_path / "True").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "detach_score" in err
 
     def test_zero_epochs_rejected(self, workspace, tmp_path, capsys):
         code = run_cli(
@@ -364,16 +383,23 @@ class TestRetrieve:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def experiment1_out(workspace, tmp_path_factory):
+    """One short experiment-1 run on the shared dataset."""
+    root = tmp_path_factory.mktemp("e1")
+    code = run_cli(
+        "experiment1", "--data", str(workspace / "data" / "train.rgtd"),
+        "--val", str(workspace / "data" / "val.rgtd"), "--out", str(root / "out"), "--seed", "3",
+        "--config", write_config(root, epochs=1, batch_size=8,
+                                 conv_channels=[4, 4], dense_units=8),
+    )
+    assert code == 0
+    return root / "out"
+
+
 class TestExperiments:
-    def test_experiment1_table_shape_and_consistency(self, workspace, tmp_path):
-        out = tmp_path / "e1"
-        code = run_cli(
-            "experiment1", "--data", str(workspace / "data" / "train.rgtd"),
-            "--val", str(workspace / "data" / "val.rgtd"), "--out", str(out), "--seed", "3",
-            "--config", write_config(tmp_path, epochs=1, batch_size=8,
-                                     conv_channels=[4, 4], dense_units=8),
-        )
-        assert code == 0
+    def test_experiment1_table_shape_and_consistency(self, workspace, experiment1_out):
+        out = experiment1_out
         lines = (out / "table.csv").read_text().strip().splitlines()
         assert lines[0] == "loss_function,accuracy,f1_weighted,score_class0,score_class1"
         assert len(lines) == 5
@@ -388,6 +414,15 @@ class TestExperiments:
         acc, f1w, s0, s1 = evaluate(model, val, LRPRuleConfig())
         row0 = [float(v) for v in lines[1].split(",")[1:]]
         assert row0 == pytest.approx([acc, f1w, s0, s1])
+
+    def test_experiment1_rows_are_final_epoch_metrics(self, experiment1_out):
+        rows = (experiment1_out / "table.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(cli.EXPERIMENT1_ROWS)
+        for row in rows:
+            name, *values = row.split(",")
+            tag = name.lower().replace(" ", "")
+            last = (experiment1_out / f"metrics_{tag}.csv").read_text().splitlines()[-1]
+            assert values == last.split(",")[2:]  # past epoch and loss
 
     def test_experiment2_default_20_aligned_rows(self, workspace, tmp_path):
         out = tmp_path / "e2"
@@ -586,7 +621,9 @@ class TestErrorTable:
         data = workspace / "data"
         (root / "corrupt.rgtd").write_bytes(b"EVIL" + (data / "val.rgtd").read_bytes()[4:])
         (root / "corrupt.rgtw").write_bytes((workspace / "run" / "weights.rgtw").read_bytes()[:-3])
-        return {"train": data / "train.rgtd", "val": data / "val.rgtd",
+        save_dataset(generate(GeneratorConfig(height=16, width=16, samples_per_class=1)),
+                     root / "small.rgtd")  # another image size than the workspace's 32x32
+        return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
                 "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw"}
 
@@ -634,6 +671,14 @@ class TestErrorTable:
         ("explain", SERVE + ["--sample-id", "1000000"], {"score_floor": 0.0}, 1),
         ("experiment1", TRAIN, {"beta2": 1.5}, 1),
         ("experiment2", TRAIN, {"adam_eps": -1e-8}, 1),
+        # data of another image size than the weights, or than --data
+        ("evaluate", ["--weights", "{weights}", "--data", "{small}"], None, 2),
+        ("explain", ["--weights", "{weights}", "--data", "{small}", "--sample-id", "0"], None, 2),
+        ("retrieve", ["--weights", "{weights}", "--atlas", "{small}", "--query-id", "0",
+                      "--layer", "3"], None, 2),
+        ("train", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
+        ("experiment1", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
+        ("experiment2", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,

@@ -235,21 +235,6 @@ class TestTrain:
         for k in m1.param_names():
             np.testing.assert_array_equal(m1.params[k].data, m2.params[k].data)
 
-    def test_detach_score_still_penalizes(self):
-        train_set, val_set = _toy_sets()
-        m_plain, m_detached = _toy_model(5), _toy_model(5)
-        cfg = dict(epochs=1, batch_size=4, learning_rate=1e-3, seed=2)
-        train(m_plain, train_set, val_set, LossConfig(mode="original"), TrainConfig(**cfg))
-        train(
-            m_detached, train_set, val_set,
-            LossConfig(mode="penalization", power=1.0, detach_score=True),
-            TrainConfig(**cfg),
-        )
-        assert any(
-            not np.array_equal(m_plain.params[k].data, m_detached.params[k].data)
-            for k in m_plain.param_names()
-        )
-
     def test_bit_reproducible(self):
         train_set, val_set = _toy_sets()
         m1, m2 = _toy_model(7), _toy_model(7)
