@@ -8,7 +8,8 @@ SRC_A and SRC_B are roots of relguide checkouts. With each tree (its
 commands into a temporary directory of its own:
 
 * ``generate`` of a small 64x64 task (48 training, 24 validation samples);
-* plain and guided (penalization, p=1) ``train`` for two epochs;
+* plain and guided (penalization, p=1) ``train`` for two epochs, the
+  guided one also with the alpha2-beta1 rule and with the epsilon rule;
 * ``evaluate`` of both weight files, the guided one also with the
   alpha2-beta1 rule;
 * ``explain`` of two validation samples, one also with the epsilon rule;
@@ -51,6 +52,8 @@ CONFIGS = {
     "plain.json": {"epochs": 2},
     "guided.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99},
     "alpha2beta1.json": {"alpha": 2.0, "beta": 1.0},
+    "guided_ab.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99,
+                       "rule": "alphabeta", "alpha": 2, "beta": 1},
     "cosine.json": {"metric": "cosine"},
     "experiment1.json": {"epochs": 1},
     "experiment2.json": {"iterations": 2},
@@ -62,6 +65,11 @@ COMMANDS = [
      "--seed", "12", "--loss", "original", "--out", "plain"],
     ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided.json",
      "--seed", "12", "--loss", "penalization", "--power", "1", "--out", "guided"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided_ab.json",
+     "--seed", "12", "--loss", "penalization", "--power", "1", "--out", "guided_ab"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided.json",
+     "--seed", "12", "--loss", "penalization", "--power", "1", "--rule", "epsilon",
+     "--out", "guided_eps"],
     ["evaluate", "--weights", "plain/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_plain"],
     ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_guided"],
     ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",

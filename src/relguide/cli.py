@@ -248,6 +248,9 @@ def _check_input_shape(shape, model_shape) -> None:
 
 def _load_sets(args):
     train_set = load_dataset(args.data)
+    _, h, w = train_set[0].image.shape
+    if h != w:  # augmentation rotates by 90 degrees, and weight files record one side
+        raise DimensionError(f"training images must be square, {args.data} has {h}x{w}")
     val_set = load_dataset(args.val) if args.val else train_set
     _check_input_shape(val_set[0].image.shape, train_set[0].image.shape)
     return train_set, val_set

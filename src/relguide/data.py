@@ -56,6 +56,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.height < 16 or self.width < 16:
             raise ConfigError("images must be at least 16x16")
+        if self.height != self.width:
+            raise ConfigError(f"images must be square, got {self.height}x{self.width}")
         if not 0 < self.lesion_area_min <= self.lesion_area_max < 1:
             raise ConfigError("need 0 < lesion_area_min <= lesion_area_max < 1")
         if not 0 <= self.distractor_rho <= 1:

@@ -5,6 +5,8 @@ remembers its parent tensors and a closure mapping its output gradient to
 parent gradients. :func:`backward` walks the graph once in reverse
 topological order and returns gradients in a dict keyed by tensor, so
 independent graphs over shared parameter tensors never mutate shared state.
+Gradients are summed by value: a sum is a new array, so a backward may
+hand one array to several parents, or return an array it keeps.
 
 Values are float32 by default. Ops preserve the dtype of their inputs, so a
 float64 replica of a model can be pushed through the same code when an
@@ -40,7 +42,7 @@ class Tensor:
     (or None for a blocked path).
     """
 
-    __slots__ = ("data", "parents", "bwd", "name", "cache")
+    __slots__ = ("data", "parents", "bwd", "name")
 
     def __init__(self, data, parents=(), bwd=None, name=None, dtype=np.float32):
         arr = np.asarray(data) if dtype is None else np.asarray(data, dtype=dtype)
@@ -50,15 +52,6 @@ class Tensor:
         self.parents: tuple = tuple(parents)
         self.bwd: Optional[Callable] = bwd
         self.name = name
-        self.cache = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -115,10 +108,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         _unbroadcast(-g * out.data / b.data, b.data.shape),
     )
     return out
-
-
-def neg(a: Tensor) -> Tensor:
-    return Tensor(-a.data, (a,), lambda g: (-g,), dtype=None)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
@@ -278,15 +267,16 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     return out
 
 
-def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
+def maxpool2d(x: Tensor, window: int, stride: int):
+    """Max pooling; returns (out, idx), the argmax index of each window that
+    routes both the gradient and the winner-take-all relevance."""
     c, h, w = x.data.shape
     if window > h or window > w:
         raise DimensionError(f"pool window {window} exceeds input {x.data.shape}")
     data, idx = kernels.maxpool_forward(x.data, window, stride)
     out = Tensor(data, (x,), dtype=None)
-    out.cache = idx
     out.bwd = lambda g: (kernels.pool_scatter(g, idx, h, w, window, stride),)
-    return out
+    return out, idx
 
 
 def pool_route(r: Tensor, idx: np.ndarray, in_hw, window: int, stride: int) -> Tensor:
@@ -310,7 +300,6 @@ def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Gene
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)
     mask = keep * scale
     out = Tensor(x.data * mask, (x,), dtype=None)
-    out.cache = mask
     out.bwd = lambda g: (g * mask,)
     return out
 
@@ -383,42 +372,30 @@ def backward(root: Tensor, seed: float = 1.0) -> dict:
         raise ValueError(f"backward requires a scalar output, got shape {root.data.shape}")
     order = _toposort(root)
     grads: dict = {root: np.asarray(seed, dtype=root.data.dtype).reshape(root.data.shape)}
-    owned: set = set()
     for node in reversed(order):
         if not node.parents:
             continue
         g = grads.pop(node, None)
         if g is None or node.bwd is None:
             continue
-        owned.discard(id(g))
         for p, pg in zip(node.parents, node.bwd(g)):
             if pg is not None:
-                _accumulate(grads, p, pg, owned)
+                _accumulate(grads, p, pg)
     return grads
 
 
-def _accumulate(grads: dict, key, g, owned: set) -> None:
-    """Add gradient `g` to ``grads[key]``. Only entries whose ids are in
-    `owned` were allocated here and are added to in place; a first-stored
-    entry may alias op internals or a caller's result, so the first addition
-    copies. Factor pairs concatenate; a pair that meets an ndarray is formed."""
+def _accumulate(grads: dict, key, g) -> None:
+    """``grads[key]`` becomes the sum of itself and gradient `g`, a new
+    value: an entry may alias op internals or a caller's result, so no array
+    or pair list is changed in place. Factor pairs concatenate; a pair that
+    meets an ndarray is formed."""
     acc = grads.get(key)
     if acc is None:
         grads[key] = g
     elif isinstance(acc, FactorPairs) and isinstance(g, FactorPairs):
-        if id(acc) not in owned:
-            acc = grads[key] = FactorPairs(list(acc.us), list(acc.vs))
-            owned.add(id(acc))
-        acc.us += g.us
-        acc.vs += g.vs
-    elif (id(acc) in owned and isinstance(acc, np.ndarray) and acc.ndim
-          and isinstance(g, np.ndarray)):
-        np.add(acc, g, out=acc)
+        grads[key] = FactorPairs(acc.us + g.us, acc.vs + g.vs)
     else:
-        fresh = _materialize(acc) + _materialize(g)
-        owned.discard(id(acc))  # a freed id may be reused by an array we do not own
-        grads[key] = fresh
-        owned.add(id(fresh))
+        grads[key] = _materialize(acc) + _materialize(g)
 
 
 def _materialize(g) -> np.ndarray:
@@ -447,12 +424,11 @@ class GradientSum:
     def __init__(self, params: dict):
         self.params = params  # name -> leaf Tensor
         self.sums: dict = {}
-        self.owned: set = set()
 
     def add(self, grads: dict) -> None:
         for name, t in self.params.items():
             if t in grads:
-                _accumulate(self.sums, name, grads[t], self.owned)
+                _accumulate(self.sums, name, grads[t])
 
     def total(self) -> dict:
         """{name: ndarray} for every parameter."""

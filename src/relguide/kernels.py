@@ -39,16 +39,7 @@ def col2im(
     cols: np.ndarray, c: int, h: int, w: int, k: int, stride: int, padding: int
 ) -> np.ndarray:
     """Adjoint of im2col: scatter-add (C*k*k, Ho*Wo) back to (C,H,W)."""
-    ho = conv_out_size(h, k, stride, padding)
-    wo = conv_out_size(w, k, stride, padding)
-    colsr = cols.reshape(c, k, k, ho, wo)
-    xp = np.zeros((c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(k):
-        for j in range(k):
-            xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += colsr[:, i, j]
-    if padding:
-        return xp[:, padding : padding + h, padding : padding + w].copy()
-    return xp
+    return col2im_stack(cols[None], c, h, w, k, stride, padding)[0]
 
 
 def col2im_stack(

@@ -21,31 +21,29 @@ exact only on bias-free networks.
 Each rule is written once, as the terms :func:`_rule_terms` builds for a
 layer: a term passes relevance r down as ``coef * rho(W)^T (r / denom)``
 times the layer input (Montavon et al., "Layer-Wise Relevance Propagation:
-An Overview", 2019). Three routes run those terms:
+An Overview", 2019). Two walks run those terms:
 
-* :func:`relevance_graph` adds the propagation to a traced forward graph,
-  one node per conv or dense rule step with a hand-written backward. That
-  makes the input relevance — and anything derived from it, such as a
+* Down: :func:`relevance_graph` adds the propagation to a traced forward
+  graph, one node per conv or dense rule step with a hand-written backward.
+  That makes the input relevance — and anything derived from it, such as a
   mask-attention score inside a loss — a differentiable function of the
-  model parameters. Training uses it.
-* :func:`relevance_stack` propagates a whole stack of relevance seeds at
-  once on the ndarray values of a traced forward pass, outside the graph.
-  Evaluation and explanation use it, through :func:`input_relevance`. Its
-  values for one seed are those of the graph route, bit for bit.
-* :func:`relevance_transpose` is the adjoint of :func:`relevance_stack` for
-  the same activations: it carries a stack of input-shaped tangents up to a
+  model parameters. Training uses it. :func:`relevance_stack` runs the same
+  walk from any trace position, once per seed, and keeps only the values;
+  evaluation and explanation use it, through :func:`input_relevance`.
+* Up: :func:`relevance_transpose` is the adjoint of the down walk for the
+  same activations: it carries a stack of input-shaped tangents up to a
   hidden position through the transposed rules. BiLRP uses it to get every
   unit's relevance pooled to input patches in one pass per input.
 
-The test suite checks the graph route's gradients against finite
-differences and against a reference built from autodiff primitives, and
-the transpose against the stacked route by a dot-product test.
+The test suite checks the down walk's gradients against finite differences
+and against a reference built from autodiff primitives, and the up walk
+against the down walk by a dot-product test.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -106,7 +104,7 @@ class RelevanceMap:
 
 
 # ---------------------------------------------------------------------------
-# graph route (differentiable)
+# down: the top-down walk (differentiable)
 # ---------------------------------------------------------------------------
 
 def relevance_graph(
@@ -114,25 +112,31 @@ def relevance_graph(
 ) -> list:
     """Relevance tensors (graph nodes) for every trace position, seeded with
     the onehot-masked logit of `target_class`."""
-    rules = rules or LRPRuleConfig()
     logits = trace.tensors[-1]
     k = logits.data.shape[0]
     if not 0 <= target_class < k:
         raise ValueError(f"target class {target_class} out of range for {k} outputs")
     onehot = np.zeros(k, dtype=logits.data.dtype)
     onehot[target_class] = 1
-    r = engine.mul(logits, Tensor(onehot, dtype=None))
-    rel = [None] * len(trace.tensors)
-    rel[-1] = r
-    for li in reversed(range(len(model.layers))):
+    seed = engine.mul(logits, Tensor(onehot, dtype=None))
+    return _walk(model, trace, len(model.layers), seed, rules)
+
+
+def _walk(model: Model, trace: ActivationTrace, start: int, r: Tensor, rules) -> list:
+    """The top-down walk: relevance `r` at trace position `start` carried
+    down to the input. Returns the relevance tensor of every position up to
+    `start`, input first."""
+    rules = rules or LRPRuleConfig()
+    rel = [None] * start + [r]
+    for li in reversed(range(start)):
         spec = model.layers[li]
-        cache = trace.caches[li]
         if spec.kind in ("conv", "dense"):
             r = _rule_step(model, trace, li, r, rules)
         elif spec.kind == "maxpool":
-            r = engine.pool_route(r, cache["idx"], cache["in_hw"], spec.window, spec.stride)
+            in_hw = trace.tensors[li].data.shape[1:]
+            r = engine.pool_route(r, trace.caches[li]["idx"], in_hw, spec.window, spec.stride)
         elif spec.kind == "flatten":
-            r = engine.reshape(r, cache["in_shape"])
+            r = engine.reshape(r, trace.tensors[li].data.shape)
         # relu / dropout: relevance passes through unchanged
         if not np.isfinite(r.data).all():
             raise NumericalError(
@@ -143,11 +147,10 @@ def relevance_graph(
 
 
 def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
-    """The rule at conv or dense layer li as one graph node: the stacked
-    route's value ``a * sum(coef * w^T (r / denom))`` for one seed, with a
-    hand-written vector-Jacobian product with respect to the upper relevance
-    r, the layer input a, the linear input x (the patch matrix for conv),
-    the weight and the bias.
+    """The rule at conv or dense layer li as one graph node, of value
+    ``a * sum(coef * w^T (r / denom))``, with a hand-written vector-Jacobian
+    product with respect to the upper relevance r, the layer input a, the
+    linear input x (the patch matrix for conv), the weight and the bias.
 
     The backward works in matrix form, one column per output position (a
     single column for dense). Per term, with s = r / denom:
@@ -159,7 +162,7 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
     """
     cache = trace.caches[li]
     terms = _rule_terms(model, trace, li, rules)
-    a, bias = cache["in"], model.params[f"layer{li}.bias"]
+    a, bias = trace.tensors[li], model.params[f"layer{li}.bias"]
     conv = model.layers[li].kind == "conv"
     if conv:
         x, weight = cache["cols"], cache["wm"]
@@ -219,10 +222,6 @@ def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = Non
     return RelevanceMap([r.data.copy() for r in rel], target_class)
 
 
-# ---------------------------------------------------------------------------
-# stacked ndarray route
-# ---------------------------------------------------------------------------
-
 _stab_denominator = kernels.stab_denominator
 
 
@@ -241,39 +240,30 @@ def relevance_stack(
     """Propagate `seeds` (M stacked relevance maps at trace position
     `start_index`) down to the input. Returns (M, C, H, W).
 
-    Relevance propagation is linear in the relevance for fixed activations,
-    so all M maps share one pass over the layers. Only the ndarray values
-    of the trace are read; no graph is built.
+    Each seed takes the walk of :func:`relevance_graph` on its own, and only
+    the ndarray value of its input relevance is kept.
     """
-    rules = rules or LRPRuleConfig()
     if not 0 <= start_index < len(trace):
         raise IndexError(f"trace index {start_index} out of range")
-    m = seeds.shape[0]
     start_shape = trace.tensors[start_index].data.shape
     if seeds.shape[1:] != start_shape:
         raise ConfigError(
             f"seed shape {seeds.shape[1:]} does not match trace entry {start_shape}"
         )
-    r = seeds
-    for li in reversed(range(start_index)):
-        spec = model.layers[li]
-        cache = trace.caches[li]
-        if spec.kind == "conv":
-            terms = _rule_terms(model, trace, li, rules)
-            r = _conv_backshare_stack(r, cache, terms) * cache["in"].data[None]
-        elif spec.kind == "dense":
-            terms = _rule_terms(model, trace, li, rules)
-            r = _dense_backshare_stack(r, terms) * cache["in"].data[None]
-        elif spec.kind == "maxpool":
-            h, w = cache["in_hw"]
-            r = kernels.pool_scatter(r, cache["idx"], h, w, spec.window, spec.stride)
-        elif spec.kind == "flatten":
-            r = r.reshape((m,) + cache["in_shape"])
-        if not np.isfinite(r).all():
-            raise NumericalError(
-                f"non-finite relevance at layer {li} ({spec.kind}); stabilizer too small"
-            )
-    return r
+    maps = [_walk(model, trace, start_index, Tensor(s, dtype=None), rules)[0].data for s in seeds]
+    in_shape = trace.tensors[0].data.shape
+    return np.stack(maps) if maps else np.empty((0,) + in_shape, dtype=seeds.dtype)
+
+
+def input_relevance(
+    model: Model, trace: ActivationTrace, target_class: int, rules: Optional[LRPRuleConfig] = None
+) -> np.ndarray:
+    """Input relevance of a traced forward pass, seeded with the logit of
+    `target_class`, as an ndarray."""
+    logits = trace.tensors[-1].data
+    seeds = np.zeros((1,) + logits.shape, dtype=logits.dtype)
+    seeds[0, target_class] = logits[target_class]
+    return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
 def _conv_backshare_stack(r, cache, terms):
@@ -322,7 +312,7 @@ def _rule_terms(model, trace, li, rules) -> list:
         w, lin_in, z = cache["wm"].data, cache["cols"].data, cache["zmat"].data
     else:
         w = model.params[f"layer{li}.weight"].data
-        lin_in, z = cache["in"].data, trace.tensors[li + 1].data
+        lin_in, z = trace.tensors[li].data, trace.tensors[li + 1].data
     if rules.rule_for(kind) == "epsilon":
         return [_Term(w, np.asarray(1, dtype=w.dtype), _stab_denominator(z, rules.epsilon), z, 0)]
     bias = model.params[f"layer{li}.bias"].data
@@ -344,6 +334,10 @@ def _split_parts(w, bias, rules):
         parts.append((w - w_pos, bias - b_pos, -1, np.asarray(-rules.beta, dtype=w.dtype)))
     return parts
 
+
+# ---------------------------------------------------------------------------
+# up: the transposed walk
+# ---------------------------------------------------------------------------
 
 def transpose_terms(model: Model, trace: ActivationTrace, stop_index: int, rules) -> dict:
     """{layer index: rule terms} of every conv and dense layer below
@@ -389,11 +383,11 @@ def relevance_transpose(
     for li in range(stop_index):
         spec = model.layers[li]
         cache = trace.caches[li]
+        a = trace.tensors[li].data
         if spec.kind == "conv":
-            t = _conv_forward_transpose(t, cache, terms[li])
+            t = _conv_forward_transpose(t * a[None], cache, terms[li])
         elif spec.kind == "dense":
-            u = t * cache["in"].data[None]
-            t = _apply_terms(u[..., None], terms[li])[..., 0]
+            t = _apply_terms((t * a[None])[..., None], terms[li])[..., 0]
         elif spec.kind == "maxpool":
             t = kernels.pool_gather(t, cache["idx"], spec.window, spec.stride)
         elif spec.kind == "flatten":
@@ -406,10 +400,9 @@ def relevance_transpose(
     return t
 
 
-def _conv_forward_transpose(t, cache, terms):
+def _conv_forward_transpose(u, cache, terms):
     _, _, _, k, stride, padding, ho, wo = cache["geom"]
-    m = t.shape[0]
-    u = t * cache["in"].data[None]
+    m = u.shape[0]
     cols = kernels.im2col(u.reshape((-1,) + u.shape[2:]), k, stride, padding)
     cols = cols.reshape(m, -1, cols.shape[1])  # (M, Ckk, L)
     return _apply_terms(cols, terms).reshape(m, -1, ho, wo)
@@ -427,17 +420,6 @@ def _apply_terms(x, terms):
         term *= scale.reshape(term.shape[-2:])
         out = term if out is None else out + term
     return out
-
-
-def input_relevance(
-    model: Model, trace: ActivationTrace, target_class: int, rules: Optional[LRPRuleConfig] = None
-) -> np.ndarray:
-    """Input relevance of a traced forward pass, seeded with the logit of
-    `target_class`, via the stacked route (fast, non-differentiable)."""
-    logits = trace.tensors[-1].data
-    seeds = np.zeros((1,) + logits.shape, dtype=logits.dtype)
-    seeds[0, target_class] = logits[target_class]
-    return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
 # ---------------------------------------------------------------------------

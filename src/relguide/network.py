@@ -64,15 +64,13 @@ class Model:
     def dtype(self):
         return self.params[self.param_names()[0]].data.dtype
 
-    def copy(self) -> "Model":
-        return self.astype(self.dtype)
-
 
 @dataclass
 class ActivationTrace:
     """Activations per trace position: entry 0 is the input, entry i is the
-    output of layer i-1. `caches` carries per-layer internals (conv patch
-    matrices, pool argmax indices) for relevance propagation."""
+    output of layer i-1. `caches[i]` carries what layer i computed besides
+    its output (conv patch matrices, pool argmax indices) for relevance
+    propagation; a layer's input is ``tensors[i]``."""
 
     tensors: list
     caches: list = field(default_factory=list)
@@ -81,9 +79,10 @@ class ActivationTrace:
         return len(self.tensors)
 
 
-def infer_shapes(layers, input_shape, n_classes=2) -> list:
+def infer_shapes(layers, input_shape, n_classes=None) -> list:
     """Propagate shapes through the spec list; raises ConfigError on any
-    incompatibility. Returns the shape after every layer (input first)."""
+    incompatibility, and, given `n_classes`, unless the last layer outputs
+    that many logits. Returns the shape after every layer (input first)."""
     shapes = [tuple(input_shape)]
     cur = tuple(input_shape)
     for li, spec in enumerate(layers):
@@ -122,6 +121,8 @@ def infer_shapes(layers, input_shape, n_classes=2) -> list:
         else:
             raise ConfigError(f"layer {li}: unknown kind {spec.kind!r}")
         shapes.append(cur)
+    if n_classes is not None and cur != (n_classes,):
+        raise ConfigError(f"the last layer outputs {cur}, not {n_classes} class logits")
     return shapes
 
 
@@ -171,8 +172,11 @@ def init_params(layers, input_shape, seed) -> dict:
     return params
 
 
-def build_model(layers, input_shape, seed=0, n_classes=2) -> Model:
-    infer_shapes(layers, input_shape, n_classes)
+def build_model(layers, input_shape, seed=0, n_classes=None) -> Model:
+    """A model with fresh parameters; `n_classes` defaults to the width of
+    the last layer."""
+    out_shape = infer_shapes(layers, input_shape, n_classes)[-1]
+    n_classes = out_shape[0] if n_classes is None else n_classes
     return Model(layers, init_params(layers, input_shape, seed), tuple(input_shape), n_classes)
 
 
@@ -218,23 +222,20 @@ def forward_with_trace(
     tensors = [x]
     caches = []
     for li, spec in enumerate(model.layers[:stop]):
-        cache = {"in": h}
+        cache = {}
         if spec.kind == "conv":
-            h, conv_cache = engine.conv2d_with_cache(
+            h, cache = engine.conv2d_with_cache(
                 h, model.params[f"layer{li}.weight"], model.params[f"layer{li}.bias"],
                 spec.stride, spec.padding,
             )
-            cache.update(conv_cache)
         elif spec.kind == "relu":
             h = engine.relu(h)
         elif spec.kind == "maxpool":
-            cache["in_hw"] = h.data.shape[1:]
-            h = engine.maxpool2d(h, spec.window, spec.stride)
-            cache["idx"] = h.cache
+            h, idx = engine.maxpool2d(h, spec.window, spec.stride)
+            cache = {"idx": idx}
         elif spec.kind == "dropout":
             h = engine.dropout(h, spec.rate, training, rng)
         elif spec.kind == "flatten":
-            cache["in_shape"] = h.data.shape
             h = engine.flatten(h)
         elif spec.kind == "dense":
             h = engine.dense(h, model.params[f"layer{li}.weight"], model.params[f"layer{li}.bias"])

@@ -263,19 +263,19 @@ def relevance_graph_reference(model, trace, target_class, rules=None):
     rel = [None] * len(trace.tensors)
     rel[-1] = r
     for li in reversed(range(len(model.layers))):
-        spec, cache = model.layers[li], trace.caches[li]
+        spec, cache, a = model.layers[li], trace.caches[li], trace.tensors[li]
         bias = model.params.get(f"layer{li}.bias")
         if spec.kind == "conv":
             rmat = E.reshape(r, cache["zmat"].data.shape)
-            r = _rule_graph(rmat, cache["in"], cache["cols"], cache["wm"], bias, cache["zmat"],
+            r = _rule_graph(rmat, a, cache["cols"], cache["wm"], bias, cache["zmat"],
                             rules, rules.conv_rule, cache["geom"])
         elif spec.kind == "dense":
-            r = _rule_graph(r, cache["in"], cache["in"], model.params[f"layer{li}.weight"], bias,
+            r = _rule_graph(r, a, a, model.params[f"layer{li}.weight"], bias,
                             trace.tensors[li + 1], rules, rules.dense_rule)
         elif spec.kind == "maxpool":
-            r = E.pool_route(r, cache["idx"], cache["in_hw"], spec.window, spec.stride)
+            r = E.pool_route(r, cache["idx"], a.data.shape[1:], spec.window, spec.stride)
         elif spec.kind == "flatten":
-            r = E.reshape(r, cache["in_shape"])
+            r = E.reshape(r, a.data.shape)
         rel[li] = r
     return rel
 

@@ -14,7 +14,7 @@ import pytest
 from relguide import cli
 from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
-from relguide.data import GeneratorConfig, generate, load_dataset, save_dataset
+from relguide.data import GeneratorConfig, LabeledSample, generate, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, input_relevance, read_heatmap_csv, render_heatmap
 from relguide.errors import FormatError
 from relguide.network import (
@@ -621,11 +621,14 @@ class TestErrorTable:
         data = workspace / "data"
         (root / "corrupt.rgtd").write_bytes(b"EVIL" + (data / "val.rgtd").read_bytes()[4:])
         (root / "corrupt.rgtw").write_bytes((workspace / "run" / "weights.rgtw").read_bytes()[:-3])
-        save_dataset(generate(GeneratorConfig(height=16, width=16, samples_per_class=1)),
-                     root / "small.rgtd")  # another image size than the workspace's 32x32
+        small = generate(GeneratorConfig(height=16, width=16, samples_per_class=1))
+        save_dataset(small, root / "small.rgtd")  # another image size than the workspace's 32x32
+        save_dataset([LabeledSample(s.image[:, :8], s.object_mask[:8], s.lesion_mask[:8],
+                                    s.label, s.sample_id) for s in small], root / "wide.rgtd")
         return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
-                "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw"}
+                "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw",
+                "wide": root / "wide.rgtd"}
 
     TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
     SERVE = ["--weights", "{weights}", "--data", "{val}"]
@@ -679,6 +682,12 @@ class TestErrorTable:
         ("train", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
         ("experiment1", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
         ("experiment2", ["--data", "{train}", "--val", "{small}", "--seed", "1"], None, 2),
+        # images that are not square: 32x48 is refused by generate, an 8x16 --data by training
+        ("generate", ["--seed", "1"], {"height": 32, "width": 48}, 1),
+        ("train", ["--data", "{wide}", "--seed", "1"], None, 2),
+        ("train", ["--data", "{wide}", "--seed", "1"], {"augment": False}, 2),
+        ("experiment1", ["--data", "{wide}", "--seed", "1"], None, 2),
+        ("experiment2", ["--data", "{wide}", "--seed", "1"], None, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,

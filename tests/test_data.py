@@ -90,6 +90,12 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             GeneratorConfig(height=8)
 
+    def test_non_square_refused_after_size_check(self):
+        with pytest.raises(ConfigError, match="square, got 32x48"):
+            GeneratorConfig(height=32, width=48)
+        with pytest.raises(ConfigError, match="at least 16x16"):
+            GeneratorConfig(height=8, width=48)
+
     @pytest.mark.parametrize("key", [
         "lesion_area_min", "lesion_area_max", "texture_contrast", "distractor_rho", "noise_sigma",
     ])

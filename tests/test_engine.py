@@ -83,24 +83,24 @@ class TestRelu:
 
 class TestMaxpool:
     def test_single_window(self):
-        out = E.maxpool2d(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2, 2)
+        out, _ = E.maxpool2d(Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]])), 2, 2)
         np.testing.assert_array_equal(out.data, [[[4.0]]])
 
     def test_tie_gradient_first_position(self):
         x = Tensor(np.ones((1, 2, 2)))
-        loss = E.sum_all(E.maxpool2d(x, 2, 2))
+        loss = E.sum_all(E.maxpool2d(x, 2, 2)[0])
         grads = E.backward(loss)
         np.testing.assert_array_equal(grads[x], [[[1.0, 0.0], [0.0, 0.0]]])
 
     def test_ascending_against_oracle(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 4, 4)
-        out = E.maxpool2d(Tensor(x), 2, 2)
+        out, _ = E.maxpool2d(Tensor(x), 2, 2)
         np.testing.assert_array_equal(out.data, [[[5.0, 7.0], [13.0, 15.0]]])
         np.testing.assert_array_equal(out.data, naive_maxpool(x, 2, 2))
 
     def test_overlapping_windows_against_oracle(self, rng):
         x = rng.normal(size=(2, 5, 5)).astype(np.float32)
-        out = E.maxpool2d(Tensor(x), 3, 1)
+        out, _ = E.maxpool2d(Tensor(x), 3, 1)
         np.testing.assert_array_equal(out.data, naive_maxpool(x, 3, 1).astype(np.float32))
 
 
@@ -205,6 +205,27 @@ class TestBackward:
         grads = E.backward(y)
         assert grads[x] == pytest.approx(5.0)
 
+    def test_shared_gradient_array_summed_by_value(self):
+        """add's backward hands one array to both parents, and each parent
+        then gets a further contribution: the sums stay apart, and no array
+        a backward returned is changed."""
+        a = Tensor(np.array([1.0, 2.0]), dtype=None)
+        b = Tensor(np.array([3.0, 5.0]), dtype=None)
+        c = Tensor(np.array([13.0, 17.0]), dtype=None)
+        shared, square, scaled = E.add(a, b), E.mul(a, a), E.mul(b, c)
+        returned = {}  # node -> (array, its copy) for each array its backward returns
+        for node in (shared, square, scaled):
+            node.bwd = _recording(node.bwd, returned.setdefault(node, []))
+        w = Tensor(np.array([7.0, 11.0]), dtype=None)
+        loss = E.sum_all(E.add(E.mul(shared, w), E.add(square, scaled)))
+        grads = E.backward(loss)
+        np.testing.assert_array_equal(grads[a], [7.0 + 2 * 1.0, 11.0 + 2 * 2.0])
+        np.testing.assert_array_equal(grads[b], [7.0 + 13.0, 11.0 + 17.0])
+        (ga, _), (gb, _) = returned[shared]
+        assert ga is gb  # one array for both parents of the add
+        for arr, before in sum(returned.values(), []):
+            np.testing.assert_array_equal(arr, before)
+
     def test_seed_scaling(self):
         x = Tensor(np.array(3.0))
         grads = E.backward(E.mul(x, x), seed=0.5)
@@ -226,6 +247,14 @@ class TestBackward:
         arrays = [p.data for p in params_of(m64)]
         analytic = [E.grad_for(grads, p) for p in params_of(m64)]
         check_gradients(lambda: run().item(), arrays, analytic, h=1e-3)
+
+
+def _recording(bwd, returned):
+    def spy(g):
+        out = bwd(g)
+        returned.extend((arr, arr.copy()) for arr in out)
+        return out
+    return spy
 
 
 def _rel_err(got, want):
@@ -348,7 +377,7 @@ class TestBroadcasting:
         def run():
             t = E.div(E.mul(a, b), E.add(a, b))
             t = E.pow_const(t, 1.5)
-            return E.sum_all(E.sub(t, E.neg(b)))
+            return E.sum_all(E.sub(t, b))
 
         grads = E.backward(run())
         check_gradients(
@@ -391,6 +420,6 @@ class TestShapeAlgebra:
     @given(hw=st.integers(4, 10), window=st.integers(2, 3), stride=st.integers(1, 3))
     def test_pool_output_shape_formula(self, hw, window, stride):
         x = Tensor(np.zeros((2, hw, hw)))
-        out = E.maxpool2d(x, window, stride)
+        out, _ = E.maxpool2d(x, window, stride)
         expect = (hw - window) // stride + 1
         assert out.data.shape == (2, expect, expect)

@@ -217,6 +217,31 @@ class TestGraphVsStack:
         np.testing.assert_allclose(out[2], out[0] + out[1], rtol=1e-4, atol=1e-6)
 
 
+class TestSeedStack:
+    @pytest.mark.parametrize("rules", [EPS, AB10, LRPRuleConfig()],
+                             ids=["epsilon", "alpha1beta0", "composite"])
+    def test_stack_equals_one_seed_calls(self, rng, rules):
+        """M stacked seeds give the M one-seed results bit for bit, from
+        every trace position."""
+        model, x = random_conv_net(rng, input_hw=8, with_pool=True)
+        _, trace = forward_with_trace(model, x)
+        for start in range(len(model.layers) + 1):
+            seeds = rng.normal(size=(4,) + trace.tensors[start].data.shape).astype(np.float32)
+            stacked = relevance_stack(model, trace, start, seeds, rules)
+            assert stacked.shape == (4,) + x.shape
+            for seed, got in zip(seeds, stacked):
+                want = relevance_stack(model, trace, start, seed[None], rules)[0]
+                assert got.tobytes() == want.tobytes()
+
+    def test_empty_stack(self, rng):
+        model, x = random_conv_net(rng, with_pool=True)
+        _, trace = forward_with_trace(model, x)
+        for start in (0, 1, len(model.layers)):
+            seeds = np.zeros((0,) + trace.tensors[start].data.shape, dtype=np.float32)
+            out = relevance_stack(model, trace, start, seeds, EPS)
+            assert out.shape == (0,) + x.shape and out.dtype == np.float32
+
+
 class TestTranspose:
     @pytest.mark.parametrize("rules", [
         EPS, AB10, LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=2.0, beta=1.0),

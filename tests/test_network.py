@@ -9,7 +9,9 @@ from relguide import network
 from relguide.engine import Tensor
 from relguide.errors import ConfigError, DimensionError, FormatError
 from relguide.network import (
+    LayerSpec,
     Model,
+    build_model,
     build_default_model,
     default_layers,
     forward_with_trace,
@@ -67,6 +69,15 @@ class TestBuildDefaultModel:
         params = init_params(layers, (3, 32, 32), seed=1)
         assert param_shapes(layers, (3, 32, 32)) == {k: v.data.shape for k, v in params.items()}
         assert list(param_shapes(layers, (3, 32, 32))) == list(params)
+
+    def test_last_layer_width_must_match_n_classes(self):
+        layers = [LayerSpec("dense", units=2)]
+        with pytest.raises(ConfigError, match="not 3 class logits"):
+            build_model(layers, (3,), n_classes=3)
+        with pytest.raises(ConfigError, match="not 3 class logits"):
+            infer_shapes(default_layers((4,), 8), (3, 16, 16), n_classes=3)
+        assert infer_shapes(layers, (3,), n_classes=2)[-1] == (2,)
+        assert build_model(layers, (3,)).n_classes == 2
 
     def test_layer_count(self):
         model = build_default_model((3, 64, 64), seed=0)
