@@ -13,7 +13,9 @@ commands into a temporary directory of its own:
 * ``evaluate`` of both weight files, the guided one also with the
   alpha2-beta1 rule;
 * ``explain`` of two validation samples, one also with the epsilon rule;
-* ``retrieve`` at trace positions 3 and 7, and at 7 with the cosine metric;
+* ``retrieve`` at trace positions 3, 7 and 16 (past the flatten layer), and
+  at 7 with the cosine metric, with grid 4, with the epsilon rule and with
+  the alpha2-beta1 rule on conv layers;
 * ``experiment1`` for one epoch and ``experiment2`` for two iterations.
 
 It then lists every output file that differs between the two trees, or
@@ -55,6 +57,7 @@ CONFIGS = {
     "guided_ab.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99,
                        "rule": "alphabeta", "alpha": 2, "beta": 1},
     "cosine.json": {"metric": "cosine"},
+    "epsilon.json": {"rule": "epsilon"},
     "experiment1.json": {"epochs": 1},
     "experiment2.json": {"iterations": 2},
 }
@@ -87,6 +90,16 @@ COMMANDS = [
     ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
      "--query-id", "5", "--layer", "7", "--k", "3", "--config", "cosine.json",
      "--out", "retrieve7_cosine"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "7", "--k", "3", "--grid", "4", "--out", "retrieve7_grid4"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "7", "--k", "3", "--config", "epsilon.json",
+     "--out", "retrieve7_eps"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "7", "--k", "3", "--config", "alpha2beta1.json",
+     "--out", "retrieve7_ab"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "16", "--k", "3", "--out", "retrieve16"],
     ["experiment1", "--data", "data/train.rgtd", "--val", "data/val.rgtd",
      "--config", "experiment1.json", "--seed", "12", "--out", "experiment1"],
     ["experiment2", "--data", "data/train.rgtd", "--val", "data/val.rgtd",

@@ -14,10 +14,13 @@ pooled map is therefore row m of ``P[m, p] = phi_m * (L^T 1_p)[m]``, where
 1_p marks patch p on every channel: the transposed rules
 (:func:`relguide.lrp.relevance_transpose`) with the g*g patch markers as
 tangents give P for every unit, exactly, in one pass per grid row of g
-tangents (1/g of the memory of one pass, and the same bits: numpy runs one
-GEMM per stacked tangent). The joint matrix is ``P_a^T P_b``; its
-accumulation order over units is fixed, so results are reproducible and
-the transpose symmetry between (a, b) and (b, a) is exact.
+tangents. A grid row's tangents reach only a band of rows at each conv and
+pool layer, and the pass works on that band alone. One pass per grid row
+takes 1/g of the memory of one pass over all patches and gives the same
+bits: tangents with the same band share a pass, and numpy runs one GEMM
+per stacked tangent. The joint matrix is ``P_a^T P_b``; its accumulation
+order over units is fixed, so results are reproducible and the transpose
+symmetry between (a, b) and (b, a) is exact.
 """
 
 from __future__ import annotations
@@ -91,8 +94,9 @@ def unit_relevance(
     grid: int = 8,
 ) -> UnitRelevance:
     """Pooled relevance of every unit at `layer_index` for one traced input
-    (traced at least that far), from one transposed pass per grid row; the
-    rows share one computation of the rule terms."""
+    (traced at least that far), from one transposed pass per grid row, over
+    the band of rows that row reaches; the rows share one computation of the
+    rule terms."""
     rules = rules or LRPRuleConfig()
     if len(model.input_shape) != 3:
         raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
@@ -164,12 +168,11 @@ def top_connections(joint: JointRelevance, k: int) -> list:
     by magnitude, ties in (p, q) lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    mat = joint.matrix
-    entries = [
-        (p, q, float(mat[p, q])) for p in range(mat.shape[0]) for q in range(mat.shape[1])
-    ]
-    entries.sort(key=lambda e: (-abs(e[2]), e[0], e[1]))
-    return entries[:k]
+    weights = joint.matrix.reshape(-1)
+    # a stable sort keeps ties in row-major, that is (p, q), order
+    order = np.argsort(-np.abs(weights), kind="stable")[:k]
+    n = joint.matrix.shape[1]
+    return [(int(i) // n, int(i) % n, float(weights[i])) for i in order]
 
 
 def export_json(joint: JointRelevance, path, top_k: int = 100) -> dict:

@@ -32,8 +32,9 @@ An Overview", 2019). Two walks run those terms:
   evaluation and explanation use it, through :func:`input_relevance`.
 * Up: :func:`relevance_transpose` is the adjoint of the down walk for the
   same activations: it carries a stack of input-shaped tangents up to a
-  hidden position through the transposed rules. BiLRP uses it to get every
-  unit's relevance pooled to input patches in one pass per input.
+  hidden position through the transposed rules, each over only the band of
+  rows it reaches, which gives the values of the full-height pass. BiLRP
+  uses it to get every unit's relevance pooled to input patches.
 
 The test suite checks the down walk's gradients against finite differences
 and against a reference built from autodiff primitives, and the up walk
@@ -42,6 +43,7 @@ against the down walk by a dot-product test.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -166,10 +168,10 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
     conv = model.layers[li].kind == "conv"
     if conv:
         x, weight = cache["cols"], cache["wm"]
-        c = _conv_backshare_stack(r.data[None], cache, terms)[0]
+        c = _conv_backshare(r.data, cache, terms)
     else:
         x, weight = a, model.params[f"layer{li}.weight"]
-        c = _dense_backshare_stack(r.data[None], terms)[0]
+        c = _dense_backshare(r.data, terms)
     out = Tensor(c * a.data, (r, a, x, weight, bias), dtype=None)
     rm = r.data.reshape(bias.data.shape[0], -1)
     xm = x.data.reshape(x.data.shape[0], -1)
@@ -266,23 +268,22 @@ def input_relevance(
     return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
-def _conv_backshare_stack(r, cache, terms):
-    """``sum(coef * w^T (r / denom))`` folded back to (M, C, H, W): the
-    rule at a conv layer for a stack of relevance maps, before the product
-    with the layer input."""
+def _conv_backshare(r, cache, terms):
+    """``sum(coef * w^T (r / denom))`` folded back to (C, H, W): the rule
+    at a conv layer for a relevance map, before the product with the layer
+    input."""
     c_in, h, w, k, stride, padding, _, _ = cache["geom"]
-    rmat = r.reshape((r.shape[0],) + cache["zmat"].data.shape)
+    rmat = r.reshape(cache["zmat"].data.shape)
     out = None
     for t in terms:
-        # (Ckk, C_out) x (M, C_out, L) -> (M, Ckk, L), C-contiguous
-        ccols = np.matmul(t.w.T, _safe_ratio(rmat, t.denom))
-        term = t.coef * kernels.col2im_stack(ccols, c_in, h, w, k, stride, padding)
+        ccols = t.w.T @ _safe_ratio(rmat, t.denom)
+        term = t.coef * kernels.col2im(ccols, c_in, h, w, k, stride, padding)
         out = term if out is None else out + term
     return out
 
 
-def _dense_backshare_stack(r, terms):
-    """``sum(coef * w^T (r / denom))`` for a stack of relevance vectors."""
+def _dense_backshare(r, terms):
+    """``sum(coef * w^T (r / denom))`` for a relevance vector."""
     out = None
     for t in terms:
         term = t.coef * (_safe_ratio(r, t.denom) @ t.w)
@@ -370,6 +371,13 @@ def relevance_transpose(
     tangents give a float64 pass over the float32 activations. `terms`, from
     :func:`transpose_terms` for the same trace, position and rules, skips
     recomputing them.
+
+    A (C, H, W) tangent that is nonzero only in input rows [lo, hi) reaches
+    only a band of rows at each conv or pool layer. The pass works on that
+    band alone and fills the rest with +0.0 where the map is flattened and
+    at the end: the values of the full-height pass, whose zeros may be -0.0.
+    Tangents with the same band share one pass, so one call over a stack
+    gives the bits of one call per band. An all-zero tangent gives +0.0.
     """
     rules = rules or LRPRuleConfig()
     if not 0 <= stop_index < len(trace):
@@ -379,45 +387,92 @@ def relevance_transpose(
         raise ConfigError(f"tangent shape {tangents.shape[1:]} does not match input {in_shape}")
     if terms is None:
         terms = transpose_terms(model, trace, stop_index, rules)
-    t = tangents
+    top = trace.tensors[stop_index].data
+    out = np.zeros((len(tangents),) + top.shape, dtype=np.result_type(tangents, top))
+    live = tangents != 0
+    if live.ndim != 4:  # a tangent not shaped (C, H, W) is one row
+        live = live.reshape(len(live), 1, 1, math.prod(in_shape))
+    rows = live.any(axis=(1, 3))  # the input rows each tangent reaches
+    reached = rows.any(axis=1)  # an all-zero tangent gets the empty band [0, 0)
+    ends = reached * (rows.shape[1] - rows[:, ::-1].argmax(axis=1))
+    bands = np.stack([rows.argmax(axis=1), ends], axis=1)
+    for lo, hi in np.unique(bands[reached], axis=0):
+        pick = (bands == (lo, hi)).all(axis=1)
+        out[pick] = _transpose_band(model, trace, stop_index, tangents[pick, :, lo:hi]
+                                    if tangents.ndim == 4 else tangents[pick], lo, terms)
+    return out
+
+
+def _transpose_band(model, trace, stop_index, t, lo, terms):
+    """The transposed walk for tangents `t` that hold rows [lo, lo + rows)
+    of (C, H, W) maps, zero elsewhere, or whole stacks of another rank;
+    0.0 when the band reaches no row of some layer on the way."""
+    hi = lo + (t.shape[2] if t.ndim == 4 else 0)
     for li in range(stop_index):
         spec = model.layers[li]
         cache = trace.caches[li]
         a = trace.tensors[li].data
-        if spec.kind == "conv":
-            t = _conv_forward_transpose(t * a[None], cache, terms[li])
+        if spec.kind in ("conv", "maxpool"):  # a pool is a window without padding
+            conv = spec.kind == "conv"
+            k, stride, padding = cache["geom"][3:6] if conv else (spec.window, spec.stride, 0)
+            n_out, wo = trace.tensors[li + 1].data.shape[1:]
+            olo, ohi = _reach(lo, hi, k, stride, padding, n_out)
+            if olo >= ohi:
+                return 0.0
+            slab = _slab(t * a[None, :, lo:hi] if conv else t, lo, olo * stride - padding,
+                         (ohi - 1) * stride - padding + k, padding)
+            if conv:
+                cols = kernels.im2col(slab.reshape((-1,) + slab.shape[2:]), k, stride, 0)
+                cols = cols.reshape(len(t), -1, cols.shape[1])  # (M, Ckk, band columns)
+                t = _apply_terms(cols, terms[li], slice(olo * wo, ohi * wo))
+                t = t.reshape(len(t), -1, ohi - olo, wo)
+            else:
+                t = kernels.pool_gather(slab, cache["idx"][:, olo:ohi], k, stride)
+            lo, hi = olo, ohi
         elif spec.kind == "dense":
             t = _apply_terms((t * a[None])[..., None], terms[li])[..., 0]
-        elif spec.kind == "maxpool":
-            t = kernels.pool_gather(t, cache["idx"], spec.window, spec.stride)
         elif spec.kind == "flatten":
-            t = t.reshape(t.shape[0], -1)
+            t = _unband(t, lo, a.shape).reshape(len(t), -1)
         # relu / dropout pass relevance unchanged, so their transpose does too
         if not np.isfinite(t).all():
             raise NumericalError(
                 f"non-finite relevance at layer {li} ({spec.kind}); stabilizer too small"
             )
-    return t
+    return _unband(t, lo, trace.tensors[stop_index].data.shape)
 
 
-def _conv_forward_transpose(u, cache, terms):
-    _, _, _, k, stride, padding, ho, wo = cache["geom"]
-    m = u.shape[0]
-    cols = kernels.im2col(u.reshape((-1,) + u.shape[2:]), k, stride, padding)
-    cols = cols.reshape(m, -1, cols.shape[1])  # (M, Ckk, L)
-    return _apply_terms(cols, terms).reshape(m, -1, ho, wo)
+def _reach(lo, hi, k, stride, padding, n_out):
+    """The output rows [lo, hi) of a k-row window at this stride and
+    padding reach from input rows [lo, hi), clipped to [0, n_out)."""
+    return max(0, -((k - 1 - padding - lo) // stride)), min(n_out, -(-(hi + padding) // stride))
 
 
-def _apply_terms(x, terms):
+def _slab(t, lo, r0, r1, padding):
+    """Rows [r0, r1) of maps whose rows [lo, lo + rows) are `t` and whose
+    other rows, and `padding` columns on either side, are +0.0."""
+    m, c, rows, w = t.shape
+    slab = np.zeros((m, c, r1 - r0, w + 2 * padding), dtype=t.dtype)
+    a, b = max(lo, r0), min(lo + rows, r1)  # never empty: each row of the slab reaches t
+    slab[:, :, a - r0 : b - r0, padding : padding + w] = t[:, :, a - lo : b - lo]
+    return slab
+
+
+def _unband(t, lo, shape):
+    """Full (C, H, W) maps from a band, +0.0 outside it; other ranks pass."""
+    return _slab(t, lo, 0, shape[1], 0) if t.ndim == 4 else t
+
+
+def _apply_terms(x, terms, cols=slice(None)):
     """Sum over the rule's terms of ``coef * (w_part @ x) / denom`` for a
     stack x of layer inputs, with the zero-denominator convention of the
-    backward route. The per-output scale is computed once for the stack and
-    applied in place, so a term holds one stack-sized array."""
+    backward route; `cols` picks the output columns x holds. The
+    per-output scale is computed once for the stack and applied in place,
+    so a term holds one stack-sized array."""
     out = None
     for t in terms:
         term = t.w @ x
-        scale = t.coef * _safe_ratio(np.ones((), dtype=term.dtype), t.denom)
-        term *= scale.reshape(term.shape[-2:])
+        denom = t.denom.reshape(term.shape[-2], -1)[:, cols]
+        term *= t.coef * _safe_ratio(np.ones((), dtype=term.dtype), denom)
         out = term if out is None else out + term
     return out
 

@@ -279,6 +279,22 @@ class TestTopConnections:
         got = top_connections(joint, 3)
         assert [(p, q) for p, q, _ in got] == [(0, 0), (0, 1), (0, 2)]
 
+    def test_ties_of_opposite_sign_and_k_past_the_end(self, rng):
+        """Equal |w| of either sign stay in (p, q) order, k beyond g**4
+        returns every entry, and the entries are Python ints and floats."""
+        model = _identity_image_model()
+        joint = bilrp(model, _image(rng), _image(rng), 0, EPS0, grid=2)
+        joint.matrix = rng.choice([-2.0, -0.5, 0.0, -0.0, 0.5, 2.0], size=(4, 4))
+        joint.matrix[1, 2], joint.matrix[3, 0] = -2.0, 2.0
+        got = top_connections(joint, 1000)
+        expect = sorted(
+            ((p, q, float(joint.matrix[p, q])) for p in range(4) for q in range(4)),
+            key=lambda e: (-abs(e[2]), e[0], e[1]),
+        )
+        assert got == expect
+        assert [np.signbit(w) for _, _, w in got] == [np.signbit(w) for _, _, w in expect]
+        assert all(type(v) is t for e in got for v, t in zip(e, (int, int, float)))
+
 
 class TestExport:
     def test_json_schema_and_order(self, tmp_path, rng):

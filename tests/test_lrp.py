@@ -17,7 +17,7 @@ from relguide.lrp import (
     relevance_transpose,
     render_heatmap,
 )
-from relguide.network import LayerSpec, build_model, forward_with_trace
+from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
 
 from helpers import (
     check_gradients,
@@ -242,6 +242,46 @@ class TestSeedStack:
             assert out.shape == (0,) + x.shape and out.dtype == np.float32
 
 
+def _conv(channels, k, stride, padding):
+    return LayerSpec("conv", channels=channels, kernel=k, stride=stride, padding=padding)
+
+
+# nets whose conv and pool layers move a tangent's row band in every way the
+# transposed walk handles: stride 2, no padding (the stride-2 conv misses the
+# bottom input row), and overlapping 3/2 pooling
+BAND_NETS = {
+    "stride2": [_conv(3, 3, 2, 0), LayerSpec("relu"), _conv(2, 3, 1, 1), LayerSpec("relu")],
+    "padding0": [_conv(3, 3, 1, 0), LayerSpec("relu"), LayerSpec("maxpool", window=2, stride=2)],
+    "pool3_2": [_conv(3, 3, 1, 1), LayerSpec("relu"), LayerSpec("maxpool", window=3, stride=2),
+                _conv(2, 2, 2, 0)],
+}
+
+
+def _band_net(rng, name):
+    """A random 10x10 net of BAND_NETS with random biases, and an input."""
+    layers = BAND_NETS[name] + [LayerSpec("flatten"), LayerSpec("dense", units=2)]
+    model = build_model(layers, (2, 10, 10), seed=int(rng.integers(0, 2**31)))
+    for n in model.param_names():
+        if n.endswith(".bias"):
+            model.params[n].data[:] = rng.normal(0, 0.1, model.params[n].data.shape)
+    return model, rng.normal(size=(2, 10, 10))
+
+
+def _band_tangents(rng, shape):
+    """Tangents nonzero in one row, the top and the bottom row, none, three
+    rows, every row, and one pixel of the first one's row, in random order."""
+    c, h, w = shape
+    t = np.zeros((7,) + shape)
+    row = int(rng.integers(1, h - 1))
+    t[0, :, row] = rng.normal(size=(c, w))
+    t[1, :, 0] = rng.normal(size=(c, w))
+    t[2, :, h - 1] = rng.normal(size=(c, w))
+    t[4, :, 2:5] = rng.normal(size=(c, 3, w))
+    t[5] = rng.normal(size=shape)
+    t[6, 1, row, 3] = 1.0
+    return t[rng.permutation(len(t))]
+
+
 class TestTranspose:
     @pytest.mark.parametrize("rules", [
         EPS, AB10, LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=2.0, beta=1.0),
@@ -272,6 +312,56 @@ class TestTranspose:
             relevance_transpose(model, trace, len(trace), np.zeros((1,) + x.shape))
         with pytest.raises(ConfigError):
             relevance_transpose(model, trace, 1, np.zeros((1, 1) + x.shape[1:]))
+
+    @pytest.mark.parametrize("net", BAND_NETS)
+    @pytest.mark.parametrize("rules", [
+        EPS, AB10, LRPRuleConfig.uniform("alphabeta", epsilon=1e-6, alpha=2.0, beta=1.0),
+    ], ids=["epsilon", "alpha1beta0", "alpha2beta1"])
+    def test_adjoint_for_row_band_tangents(self, rng, net, rules):
+        """The dot-product test of test_adjoint_of_stack for tangents that
+        reach a band of rows, from every trace position."""
+        def dots(x, y):
+            return x.reshape(len(x), -1) @ y.reshape(len(y), -1).T
+
+        model, x = _band_net(rng, net)
+        model = model.astype(np.float64)
+        _, trace = forward_with_trace(model, x)
+        t = _band_tangents(rng, x.shape)
+        for start in range(len(model.layers) + 1):
+            s = rng.normal(size=(3,) + trace.tensors[start].data.shape)
+            lhs = dots(relevance_stack(model, trace, start, s, rules), t)
+            rhs = dots(s, relevance_transpose(model, trace, start, t, rules))
+            np.testing.assert_allclose(rhs, lhs, rtol=0, atol=1e-9 * np.abs(lhs).max())
+
+    @pytest.mark.parametrize("net", BAND_NETS)
+    def test_mixed_bands_equal_one_call_per_tangent(self, rng, net):
+        """A stack of tangents with different row bands gives, in input
+        order, the bits of one call per tangent (float32 net, float64
+        tangents, as BiLRP runs it)."""
+        model, x = _band_net(rng, net)
+        _, trace = forward_with_trace(model, x.astype(np.float32))
+        t = _band_tangents(rng, x.shape)
+        for start in range(len(model.layers) + 1):
+            stacked = relevance_transpose(model, trace, start, t)
+            for one, got in zip(t, stacked):
+                want = relevance_transpose(model, trace, start, one[None])[0]
+                assert got.tobytes() == want.tobytes(), start
+
+    def test_empty_and_all_zero_stacks(self, rng):
+        """No tangents give an empty stack shaped like the trace entry, and
+        all-zero tangents give +0.0 without sign bits."""
+        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        x = rng.random((3, 32, 32)).astype(np.float32) - 0.5
+        dense, v = random_dense_net(rng, widths=[5, 4])
+        for net, inp, starts in ((model, x, (0, 3, 7, len(model.layers))), (dense, v, (0, 2, 4))):
+            _, trace = forward_with_trace(net, inp)
+            for start in starts:
+                shape = trace.tensors[start].data.shape
+                empty = relevance_transpose(net, trace, start, np.zeros((0,) + inp.shape))
+                assert empty.shape == (0,) + shape
+                zero = relevance_transpose(net, trace, start, np.zeros((2,) + inp.shape))
+                assert zero.shape == (2,) + shape
+                assert not zero.any() and not np.signbit(zero).any()
 
 
 class TestDifferentiability:
