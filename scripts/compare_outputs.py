@@ -13,9 +13,10 @@ commands into a temporary directory of its own:
 * ``evaluate`` of both weight files, the guided one also with the
   alpha2-beta1 rule;
 * ``explain`` of two validation samples, one also with the epsilon rule;
-* ``retrieve`` at trace positions 3, 7 and 16 (past the flatten layer), and
-  at 7 with the cosine metric, with grid 4, with the epsilon rule and with
-  the alpha2-beta1 rule on conv layers;
+* ``retrieve`` at trace positions 0 (the input), 3, 7, 16 (past the
+  flatten layer) and 18 (the logits), and at 7 with the cosine metric, with
+  grid 4, with the epsilon rule and with the alpha2-beta1 rule on conv
+  layers;
 * ``experiment1`` for one epoch and ``experiment2`` for two iterations.
 
 It then lists every output file that differs between the two trees, or
@@ -100,6 +101,10 @@ COMMANDS = [
      "--out", "retrieve7_ab"],
     ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
      "--query-id", "5", "--layer", "16", "--k", "3", "--out", "retrieve16"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "0", "--k", "3", "--out", "retrieve0"],
+    ["retrieve", "--weights", "guided/weights.rgtw", "--atlas", "data/train.rgtd",
+     "--query-id", "5", "--layer", "18", "--k", "3", "--out", "retrieve18"],
     ["experiment1", "--data", "data/train.rgtd", "--val", "data/val.rgtd",
      "--config", "experiment1.json", "--seed", "12", "--out", "experiment1"],
     ["experiment2", "--data", "data/train.rgtd", "--val", "data/val.rgtd",

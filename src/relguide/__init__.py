@@ -17,12 +17,13 @@ from .network import (
     Model,
     build_default_model,
     build_model,
+    embed,
     forward_with_trace,
     load_weights,
     save_weights,
 )
 from .lrp import LRPRuleConfig, RelevanceMap, render_heatmap
-from .bilrp import JointRelevance, embed, similarity, top_connections
+from .bilrp import JointRelevance, similarity, top_connections
 from .atlas import AtlasIndex, build_index, credibility, query_knn
 from .data import GeneratorConfig, LabeledSample, augment, generate, load_dataset, save_dataset
 from .training import (

@@ -1,7 +1,8 @@
 """Similar-case retrieval over hidden activations.
 
 An atlas index stores the flattened inference-mode activation of every
-reference sample at one trace position. Queries run exhaustive exact
+reference sample at one trace position, each from a graph-free pass that
+stops there (:func:`relguide.network.embed`). Queries run exhaustive exact
 nearest-neighbor search (atlas sizes here are small) one block of index
 rows at a time, so a query's temporaries stay a few MB at any index size.
 The label homogeneity among the returned neighbors serves as a credibility
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, read_exact
-from .network import Model, forward_with_trace
+from .network import Model, embed
 
 ATLAS_MAGIC = b"RGTA"
 ATLAS_VERSION = 1
@@ -47,8 +48,8 @@ class AtlasIndex:
 
 def build_index(model: Model, samples, layer_index: int, metric="euclidean") -> AtlasIndex:
     """The index of `samples` at one trace position; vectors are
-    inference-mode activations (dropout off) of passes that stop there.
-    A position outside the trace is an IndexError."""
+    inference-mode activations (dropout off) of graph-free passes that stop
+    there, cast to float32. A position outside the trace is an IndexError."""
     samples = list(samples)
     if not samples:
         raise ValueError("cannot build an index from an empty sample set")
@@ -57,10 +58,10 @@ def build_index(model: Model, samples, layer_index: int, metric="euclidean") -> 
     ids = np.empty(n, dtype=np.uint32)
     labels = np.empty(n, dtype=np.uint8)
     for i, s in enumerate(samples):
-        a = forward_with_trace(model, s.image, stop=layer_index)[0].data
+        a = embed(model, s.image, layer_index)
         if vectors is None:
             vectors = np.empty((n, a.size), dtype=np.float32)
-        vectors[i] = a.reshape(-1)
+        vectors[i] = a
         ids[i] = s.sample_id
         labels[i] = s.label
     return AtlasIndex(layer_index, vectors, ids, labels, metric)
@@ -118,8 +119,7 @@ def query_knn_vector(index: AtlasIndex, q: np.ndarray, k: int) -> list:
 
 def query_knn(index: AtlasIndex, x: np.ndarray, model: Model, k: int) -> list:
     """k nearest atlas samples to an input, embedded at the index's layer."""
-    embedding, _ = forward_with_trace(model, x, stop=index.layer_index)
-    return query_knn_vector(index, embedding.data, k)
+    return query_knn_vector(index, embed(model, x, index.layer_index), k)
 
 
 def credibility(neighbors, predicted_label: int) -> float:

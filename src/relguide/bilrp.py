@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lrp import LRPRuleConfig, relevance_transpose, transpose_terms
-from .network import ActivationTrace, Model, forward_with_trace
+from .network import ActivationTrace, Model, embed, forward_with_trace
 
 
 @dataclass
@@ -71,12 +71,6 @@ class UnitRelevance:
     rules: LRPRuleConfig
     embedding: np.ndarray
     pooled: np.ndarray
-
-
-def embed(model: Model, x: np.ndarray, layer_index: int) -> np.ndarray:
-    """Flattened activation at a trace position (0 = the input itself)."""
-    out, _ = forward_with_trace(model, x, stop=layer_index)
-    return out.data.reshape(-1).copy()
 
 
 def similarity(model: Model, a: np.ndarray, b: np.ndarray, layer_index: int) -> float:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, read_exact
+from .errors import ConfigError, FormatError, NumericalError, read_exact
 
 DATASET_MAGIC = b"RGTD"
 DATASET_VERSION = 1
@@ -278,10 +278,14 @@ def _read_sample(f, c, h, w) -> LabeledSample:
     img = np.frombuffer(_read_exact(f, 4 * c * h * w, "image"), dtype="<f4").reshape(c, h, w).copy()
     obj = np.frombuffer(_read_exact(f, h * w, "object mask"), dtype="u1").reshape(h, w).copy()
     les = np.frombuffer(_read_exact(f, h * w, "lesion mask"), dtype="u1").reshape(h, w).copy()
+    if not np.isfinite(img).all():
+        raise NumericalError(f"dataset sample {sid} holds a non-finite pixel value")
     return LabeledSample(img, obj, les, int(label), int(sid))
 
 
 def load_dataset(path) -> list:
+    """Every sample of a dataset file. A malformed file is a FormatError; a
+    pixel that is NaN or infinite is a NumericalError naming its sample."""
     with open(path, "rb") as f:
         n, c, h, w = _read_header(f)
         return [_read_sample(f, c, h, w) for _ in range(n)]
@@ -289,8 +293,8 @@ def load_dataset(path) -> list:
 
 def load_sample(path, sample_id: int) -> Optional[LabeledSample]:
     """The first sample of a dataset file with `sample_id`, or None. Reads
-    only the id of each record before it; refuses the files `load_dataset`
-    refuses."""
+    only the id of each record before it; refuses the malformed files
+    `load_dataset` refuses, and a non-finite pixel of the sample it reads."""
     with open(path, "rb") as f:
         n, c, h, w = _read_header(f)
         start, size = f.tell(), _record_size(c, h, w)

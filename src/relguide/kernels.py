@@ -61,18 +61,24 @@ def col2im_stack(
     return xp
 
 
-def maxpool_forward(x: np.ndarray, window: int, stride: int):
-    """Returns (out, idx): max over each window and the flat row-major index
-    of its first occurrence, as argmax gives it, which fixes both the
-    gradient route and the winner-take-all relevance route. `out` is a
-    running maximum over the window's strided slices and `idx` the count of
-    leading slices that miss it. A window holding NaN gives NaN."""
+def maxpool_values(x: np.ndarray, window: int, stride: int):
+    """Returns (out, slices): the window's strided slices of `x`, one view
+    per offset in row-major order, and `out`, their running maximum, the
+    max over each window. A window holding NaN gives NaN."""
     c, h, w = x.shape
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
     slices = [x[:, i : i + stride * ho : stride, j : j + stride * wo : stride]
               for i in range(window) for j in range(window)]
-    out = functools.reduce(np.maximum, slices)
+    return functools.reduce(np.maximum, slices), slices
+
+
+def maxpool_forward(x: np.ndarray, window: int, stride: int):
+    """Returns (out, idx): :func:`maxpool_values`' max over each window and
+    the flat row-major index of its first occurrence, as argmax gives it,
+    which fixes both the gradient route and the winner-take-all relevance
+    route. `idx` is the count of leading slices that miss the maximum."""
+    out, slices = maxpool_values(x, window, stride)
     miss = slices[0] != out
     idx = miss.astype(np.intp)
     for s in slices[1:-1]:

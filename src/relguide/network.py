@@ -1,10 +1,12 @@
-"""Sequential CNN classifier: layer specs, parameter init, the forward pass
-with a full activation trace, and binary weight persistence.
+"""Sequential CNN classifier: layer specs, parameter init, the forward
+passes, and binary weight persistence.
 
-``forward_with_trace`` is the one forward pass. It builds an autodiff graph,
-which training and differentiable relevance propagation need; inference
-callers (evaluation, explanation, retrieval) read the ndarray values of the
-same trace.
+``forward_with_trace`` is the one pass that builds an autodiff graph and a
+trace, which training and differentiable relevance propagation need;
+evaluation, explanation, the retrieval query and each BiLRP neighbour read
+the ndarray values of that trace. ``embed`` serves the atlas index: it runs
+the same kernels on ndarrays alone to one trace position and returns only
+that activation, with the bits of the trace entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import engine, kernels
 from .engine import Tensor
-from .errors import ConfigError, DimensionError, FormatError, read_exact
+from .errors import ConfigError, DimensionError, FormatError, NumericalError, read_exact
 
 WEIGHT_MAGIC = b"RGTW"
 WEIGHT_VERSION = 1
@@ -210,12 +212,9 @@ def forward_with_trace(
     An ndarray input takes the model's parameter dtype. With a trace position
     `stop`, the pass ends there and outputs its activation, not the logits.
     """
-    if stop is not None and not 0 <= stop <= len(model.layers):
-        raise IndexError(f"layer index {stop} out of range (0..{len(model.layers)})")
     if not isinstance(x, Tensor):
         x = Tensor(x, dtype=model.dtype)
-    if x.data.shape != model.input_shape:
-        raise DimensionError(f"input {x.data.shape} does not match model {model.input_shape}")
+    _check_pass(model, x.data.shape, stop)
     if training and rng is None:
         rng = np.random.default_rng(0)
     h = x
@@ -244,6 +243,42 @@ def forward_with_trace(
     return h, ActivationTrace(tensors, caches)
 
 
+def embed(model: Model, x, stop: int) -> np.ndarray:
+    """The flattened inference-mode activation at trace position `stop`
+    (0 = the input itself), a new array with the bits of
+    ``forward_with_trace(model, x)[1].tensors[stop].data``.
+
+    The pass runs the trace's kernels in the same order on ndarrays alone:
+    it builds no graph and no trace, and it skips the max-pool argmax."""
+    h = np.ascontiguousarray(x, dtype=model.dtype)
+    _check_pass(model, h.shape, stop)
+    for li, spec in enumerate(model.layers[:stop]):
+        if spec.kind in ("conv", "dense"):
+            w = model.params[f"layer{li}.weight"].data
+            b = model.params[f"layer{li}.bias"].data
+        if spec.kind == "conv":
+            k, s, p = spec.kernel, spec.stride, spec.padding
+            z = w.reshape(len(w), -1) @ kernels.im2col(h, k, s, p) + b.reshape(len(b), 1)
+            h = z.reshape(len(w), *(kernels.conv_out_size(n, k, s, p) for n in h.shape[1:]))
+        elif spec.kind == "relu":
+            h = np.fmax(h, 0) + 0
+        elif spec.kind == "maxpool":
+            h = kernels.maxpool_values(h, spec.window, spec.stride)[0]
+        elif spec.kind == "flatten":
+            h = h.reshape(-1)
+        elif spec.kind == "dense":
+            h = w @ h + b
+    return h.reshape(-1).copy()
+
+
+def _check_pass(model: Model, shape: tuple, stop: Optional[int]) -> None:
+    """Both passes' refusals: a stop outside the trace, then a wrong input shape."""
+    if stop is not None and not 0 <= stop <= len(model.layers):
+        raise IndexError(f"layer index {stop} out of range (0..{len(model.layers)})")
+    if shape != model.input_shape:
+        raise DimensionError(f"input {shape} does not match model {model.input_shape}")
+
+
 # ---------------------------------------------------------------------------
 # weight persistence
 # ---------------------------------------------------------------------------
@@ -269,7 +304,9 @@ _read_exact = functools.partial(read_exact, kind="weight")
 
 
 def read_weight_tensors(path) -> dict:
-    """Read the raw name -> ndarray mapping from a weight file."""
+    """Read the raw name -> ndarray mapping from a weight file. A malformed
+    file is a FormatError; a well-formed one holding a NaN or an infinity
+    is a NumericalError naming the first such tensor."""
     tensors = {}
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != WEIGHT_MAGIC:
@@ -299,6 +336,9 @@ def read_weight_tensors(path) -> dict:
             tensors[name] = data
         if f.read(1):
             raise FormatError("trailing bytes after last tensor")
+    for name, data in tensors.items():
+        if not np.isfinite(data).all():
+            raise NumericalError(f"weight tensor {name} holds a non-finite value")
     return tensors
 
 

@@ -16,11 +16,11 @@ from relguide.atlas import (
     query_knn_vector,
     save_index,
 )
-from relguide.bilrp import bilrp, embed, similarity
+from relguide.bilrp import bilrp, similarity
 from relguide.data import LabeledSample
-from relguide.errors import FormatError
+from relguide.errors import DimensionError, FormatError
 from relguide.lrp import LRPRuleConfig
-from relguide.network import forward_with_trace
+from relguide.network import LayerSpec, build_model, embed, forward_with_trace
 
 from helpers import random_conv_net
 
@@ -102,23 +102,50 @@ class TestBuildIndex:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_vectors_equal_stacked_trace(self, rng, dtype):
-        """The in-place fill equals stacking each sample's full-pass trace
-        entry cast to float32, at an inner and a deeper position."""
-        model, _ = random_conv_net(rng, depth=2)
-        model = model.astype(dtype)
+        """At every trace position, from the input to the logits, `embed`
+        gives the trace entry of the full graph-building pass bit for bit,
+        and the index stacks those entries cast to float32. The net has a
+        stride-2 unpadded conv, an overlapping 3/2 pool, a padded conv,
+        dropout (off in inference) and dense layers."""
+        layers = [
+            LayerSpec("conv", channels=3, kernel=3, stride=2, padding=0),
+            LayerSpec("relu"),
+            LayerSpec("maxpool", window=3, stride=2),
+            LayerSpec("dropout", rate=0.5),
+            LayerSpec("conv", channels=4, kernel=3, stride=1, padding=1),
+            LayerSpec("relu"),
+            LayerSpec("flatten"),
+            LayerSpec("dense", units=5),
+            LayerSpec("relu"),
+            LayerSpec("dropout", rate=0.25),
+            LayerSpec("dense", units=2),
+        ]
+        model = build_model(layers, (2, 15, 15), seed=int(rng.integers(2**31))).astype(dtype)
+        for name in model.param_names():
+            if name.endswith(".bias"):
+                model.params[name].data[:] = rng.normal(0, 0.1, model.params[name].data.shape)
         samples = _samples_from(model, rng, n=5)
-        for position in (1, 3):
+        traces = [forward_with_trace(model, s.image)[1] for s in samples]
+        for position in range(len(layers) + 1):
+            entries = [t.tensors[position].data.reshape(-1) for t in traces]
+            for s, entry in zip(samples, entries):
+                got = embed(model, s.image, position)
+                assert (got.dtype, got.shape) == (entry.dtype, entry.shape)
+                assert got.tobytes() == entry.tobytes()
             idx = build_index(model, samples, position)
             assert idx.layer_index == position
-            expected = np.stack([
-                forward_with_trace(model, s.image)[1].tensors[position]
-                .data.reshape(-1).astype(np.float32)
-                for s in samples
-            ])
+            expected = np.stack(entries).astype(np.float32)
             assert idx.vectors.dtype == np.float32
             assert idx.vectors.tobytes() == expected.tobytes()
             np.testing.assert_array_equal(idx.ids, [s.sample_id for s in samples])
             np.testing.assert_array_equal(idx.labels, [s.label for s in samples])
+        # the refusals of forward_with_trace, in its order
+        n = len(layers)
+        for stop in (-1, n + 1):
+            with pytest.raises(IndexError, match=rf"out of range \(0\.\.{n}\)"):
+                embed(model, np.zeros((2, 3, 3)), stop)
+        with pytest.raises(DimensionError, match="does not match model"):
+            embed(model, np.zeros((2, 15, 14)), 3)
 
 
 class TestQuery:

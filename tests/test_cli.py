@@ -16,7 +16,7 @@ from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.cli import DEFAULTS, build_parser, main, resolve_config
 from relguide.data import GeneratorConfig, LabeledSample, generate, load_dataset, save_dataset
 from relguide.lrp import LRPRuleConfig, input_relevance, read_heatmap_csv, render_heatmap
-from relguide.errors import FormatError
+from relguide.errors import ConfigError, FormatError, UsageError
 from relguide.network import (
     build_default_model,
     forward_with_trace,
@@ -487,6 +487,29 @@ class TestDocumentedDefaults:
                 if key in defaults and not (key in runner_choices and command.startswith("experiment")):
                     assert defaults[key] == value, (command, key)
 
+    # the values at and next to each boundary of a range README states,
+    # and whether the range holds them
+    BOUNDARIES = {
+        "in [0, 1)": [(0.0, True), (-5e-324, False), (float(np.nextafter(1.0, 0.0)), True),
+                      (1.0, False)],
+        "> 0": [(0.0, False), (5e-324, True), (-5e-324, False)],
+    }
+
+    def test_readme_config_ranges_hold_at_their_boundaries(self, tmp_path):
+        table = README.read_text().split("### Config keys", 1)[1].split("\n\n")[1]
+        # a key's range follows its default after "; " and runs to the end of the entry
+        stated = dict(re.findall(r"`(\w+)` \([^;()]*; (.*?)\)(?=, `| \|)", table))
+        assert stated == {"beta1": "in [0, 1)", "beta2": "in [0, 1)", "adam_eps": "> 0",
+                          "score_floor": "> 0, also for evaluate/explain"}
+        training = ["train", "experiment1", "experiment2"]
+        serving = ", also for evaluate/explain"
+        for key, note in stated.items():
+            commands = training + (["evaluate", "explain"] if note.endswith(serving) else [])
+            for command in commands:
+                for value, holds in self.BOUNDARIES[note.removesuffix(serving)]:
+                    got = _config_accepted(tmp_path, command, {key: value})
+                    assert got == holds, (command, key, value)
+
     def test_manifest_values_win_over_defaults(self, tmp_path):
         # a manifest records the full resolved config, so one written under
         # other defaults replays with its own values
@@ -510,6 +533,25 @@ _REQUIRED_ARGS = {
     "explain": ["--weights", "unused.rgtw", "--data", "unused.rgtd", "--sample-id", "0"],
     "experiment1": ["--data", "unused.rgtd"],
 }
+
+
+def _config_accepted(tmp_path, command, values) -> bool:
+    """Whether `command` takes these config values through the checks it
+    makes before it reads a file: the type table, then the settings a
+    training command builds from its config."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, **values}))
+    args = build_parser().parse_args([command, *_REQUIRED_ARGS[command], "--config", str(path)])
+    try:
+        cfg = resolve_config(args, command)
+        if "beta1" in cfg:
+            cli.train_config_from(cfg, epochs=1)
+            cli.loss_config_from(cfg, mode="penalization", power=1.0)
+    except (UsageError, ConfigError):
+        return False
+    return True
+
+
 # every float key of every command, set to NaN and to Infinity
 _NON_FINITE = [
     (command, {key: value}, key)
@@ -612,8 +654,9 @@ class TestExitCodes:
 
 class TestErrorTable:
     """One bad argument per row, over all seven subcommands: exit 1 for a
-    bad flag or value, 2 for a missing or corrupt file; exactly one stderr
-    line, no traceback, and no --out directory left behind."""
+    bad flag or value, 2 for a missing or corrupt file, 3 for a file that
+    holds a NaN; exactly one stderr line, no traceback, and no --out
+    directory left behind."""
 
     @pytest.fixture(scope="class")
     def paths(self, workspace, tmp_path_factory):
@@ -625,10 +668,19 @@ class TestErrorTable:
         save_dataset(small, root / "small.rgtd")  # another image size than the workspace's 32x32
         save_dataset([LabeledSample(s.image[:, :8], s.object_mask[:8], s.lesion_mask[:8],
                                     s.label, s.sample_id) for s in small], root / "wide.rgtd")
+        # one NaN in a dense weight, and in one pixel of the second sample
+        model = load_weights(workspace / "run" / "weights.rgtw")
+        dense = next(n for n in model.param_names() if model.params[n].data.ndim == 2)
+        model.params[dense].data[0, 0] = np.nan
+        save_weights(model, root / "nan.rgtw")
+        nan_set = load_dataset(data / "val.rgtd")
+        nan_set[1].image[0, 0, 0] = np.nan
+        save_dataset(nan_set, root / "nan.rgtd")
         return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
                 "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw",
-                "wide": root / "wide.rgtd"}
+                "wide": root / "wide.rgtd", "nan_weights": root / "nan.rgtw",
+                "nan": root / "nan.rgtd"}
 
     TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
     SERVE = ["--weights", "{weights}", "--data", "{val}"]
@@ -688,6 +740,18 @@ class TestErrorTable:
         ("train", ["--data", "{wide}", "--seed", "1"], {"augment": False}, 2),
         ("experiment1", ["--data", "{wide}", "--seed", "1"], None, 2),
         ("experiment2", ["--data", "{wide}", "--seed", "1"], None, 2),
+        # a weight or an image that is NaN: exit 3 naming it, before any pass runs
+        ("evaluate", ["--weights", "{nan_weights}", "--data", "{val}"], None, 3),
+        ("explain", ["--weights", "{nan_weights}", "--data", "{val}", "--sample-id", "1000000"],
+         None, 3),
+        ("retrieve", ["--weights", "{nan_weights}", "--atlas", "{val}", "--query-id", "1000000",
+                      "--layer", "7"], None, 3),
+        ("evaluate", ["--weights", "{weights}", "--data", "{nan}"], None, 3),
+        ("explain", ["--weights", "{weights}", "--data", "{nan}", "--sample-id", "1000001"],
+         None, 3),
+        ("retrieve", ["--weights", "{weights}", "--atlas", "{nan}", "--query-id", "1000000",
+                      "--layer", "1"], None, 3),
+        ("train", ["--data", "{train}", "--val", "{nan}", "--seed", "1"], None, 3),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
@@ -701,6 +765,8 @@ class TestErrorTable:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+        if code == 3:  # the line names the tensor or the sample that holds the NaN
+            assert re.search(r"weight tensor layer\d+\.weight |dataset sample 1000001 ", err)
 
 
 U32_MAX = 2**32 - 1

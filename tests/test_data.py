@@ -17,7 +17,7 @@ from relguide.data import (
     rigid_transform,
     save_dataset,
 )
-from relguide.errors import ConfigError, FormatError
+from relguide.errors import ConfigError, FormatError, NumericalError
 
 
 def _has_distractor(sample: LabeledSample) -> bool:
@@ -242,3 +242,17 @@ class TestLoadSample:
         with pytest.raises(FormatError) as one:
             load_sample(bad, 1_000_000)  # the first record: no scan would reach the tail
         assert str(one.value) == str(full.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused_by_sample_id(self, path, tmp_path, value):
+        samples = load_dataset(path)
+        samples[3].image[2, 5, 7] = value
+        bad = tmp_path / "bad.rgtd"
+        save_dataset(samples, bad)
+        sid = samples[3].sample_id
+        with pytest.raises(NumericalError, match=f"^dataset sample {sid} holds a non-finite"):
+            load_dataset(bad)
+        with pytest.raises(NumericalError, match=f"^dataset sample {sid} holds a non-finite"):
+            load_sample(bad, sid)
+        # load_sample reads one record: the others' pixels are not its to check
+        _same_sample(load_sample(bad, samples[0].sample_id), samples[0])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import hashlib
+import re
 
 from relguide import network
 from relguide.engine import Tensor
-from relguide.errors import ConfigError, DimensionError, FormatError
+from relguide.errors import ConfigError, DimensionError, FormatError, NumericalError
 from relguide.network import (
     LayerSpec,
     Model,
@@ -255,3 +256,15 @@ class TestWeightPersistence:
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises(FormatError):
             load_weights(path, template=model)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_tensor(self, tmp_path, rng, value):
+        model, _ = random_conv_net(rng)
+        name = model.param_names()[-1]
+        model.params[name].data.reshape(-1)[-1] = value
+        path = tmp_path / "w.rgtw"
+        save_weights(model, path)
+        with pytest.raises(NumericalError, match=rf"^weight tensor {re.escape(name)} holds"):
+            load_weights(path, template=model)
+        with pytest.raises(NumericalError, match=rf"^weight tensor {re.escape(name)} holds"):
+            load_weights(path)
