@@ -629,7 +629,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError, json.JSONDecodeError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError, ScoreError, ValueError) as e:
+    except (FormatError, OSError, ScoreError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:

@@ -226,11 +226,9 @@ def im2col_op(x: Tensor, k: int, stride: int, padding: int) -> Tensor:
     return out
 
 
-def conv2d_with_cache(
-    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
-):
-    """Cross-correlation conv; returns (out, cache) where cache exposes the
-    internal patch matrix and flat kernel for relevance propagation."""
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
+    """Cross-correlation conv; returns (out, cols), the patch-matrix node
+    that relevance propagation reads, as maxpool2d returns its argmax."""
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise DimensionError(
             f"conv2d expects (C,H,W) input and (Co,Ci,k,k) kernel, got {x.data.shape}, {kernel.data.shape}"
@@ -250,21 +248,8 @@ def conv2d_with_cache(
     ho = kernels.conv_out_size(h, kh, stride, padding)
     wo = kernels.conv_out_size(w, kw, stride, padding)
     cols = im2col_op(x, kh, stride, padding)
-    wm = reshape(kernel, (c_out, c_in * kh * kw))
-    zmat = add(matmul(wm, cols), reshape(bias, (c_out, 1)))
-    out = reshape(zmat, (c_out, ho, wo))
-    cache = {
-        "cols": cols,
-        "wm": wm,
-        "zmat": zmat,
-        "geom": (c, h, w, kh, stride, padding, ho, wo),
-    }
-    return out, cache
-
-
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    out, _ = conv2d_with_cache(x, kernel, bias, stride, padding)
-    return out
+    zmat = add(matmul(reshape(kernel, (c_out, c_in * kh * kw)), cols), reshape(bias, (c_out, 1)))
+    return reshape(zmat, (c_out, ho, wo)), cols
 
 
 def maxpool2d(x: Tensor, window: int, stride: int):

@@ -21,7 +21,10 @@ exact only on bias-free networks.
 Each rule is written once, as the terms :func:`_rule_terms` builds for a
 layer: a term passes relevance r down as ``coef * rho(W)^T (r / denom)``
 times the layer input (Montavon et al., "Layer-Wise Relevance Propagation:
-An Overview", 2019). Two walks run those terms:
+An Overview", 2019). A conv is a dense layer over image patches: its terms
+act on the patch matrix the trace saves, with the kernel flattened, and
+:func:`_backshare` folds their share back to an image with col2im. Two
+walks run those terms:
 
 * Down: :func:`relevance_graph` adds the propagation to a traced forward
   graph, one node per conv or dense rule step with a hand-written backward.
@@ -136,7 +139,7 @@ def _walk(model: Model, trace: ActivationTrace, start: int, r: Tensor, rules) ->
             r = _rule_step(model, trace, li, r, rules)
         elif spec.kind == "maxpool":
             in_hw = trace.tensors[li].data.shape[1:]
-            r = engine.pool_route(r, trace.caches[li]["idx"], in_hw, spec.window, spec.stride)
+            r = engine.pool_route(r, trace.caches[li], in_hw, spec.window, spec.stride)
         elif spec.kind == "flatten":
             r = engine.reshape(r, trace.tensors[li].data.shape)
         # relu / dropout: relevance passes through unchanged
@@ -152,37 +155,35 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
     """The rule at conv or dense layer li as one graph node, of value
     ``a * sum(coef * w^T (r / denom))``, with a hand-written vector-Jacobian
     product with respect to the upper relevance r, the layer input a, the
-    linear input x (the patch matrix for conv), the weight and the bias.
+    linear input x (the patch-matrix node the trace saves for conv), the
+    weight and the bias.
 
     The backward works in matrix form, one column per output position (a
-    single column for dense). Per term, with s = r / denom:
+    single column for dense), with the kernel flattened to one row per
+    output channel; its gradient is reshaped back to the kernel's. Per term, with s = r / denom:
     ``g_s = w (coef g a)``, ``g_r = g_s / denom`` and
     ``g_z = -g_s s / denom`` plus the stabilizer's ``mean|z|`` coupling;
     then ``g_w = s (coef g a)^T + g_z x^T``, ``g_x = w^T g_z`` and
     ``g_b = sum(g_z)``, masked to W>0 / W<=0 for the alpha/beta parts. A
     zero denominator passes no gradient.
     """
-    cache = trace.caches[li]
+    spec = model.layers[li]
     terms = _rule_terms(model, trace, li, rules)
-    a, bias = trace.tensors[li], model.params[f"layer{li}.bias"]
-    conv = model.layers[li].kind == "conv"
-    if conv:
-        x, weight = cache["cols"], cache["wm"]
-        c = _conv_backshare(r.data, cache, terms)
-    else:
-        x, weight = a, model.params[f"layer{li}.weight"]
-        c = _dense_backshare(r.data, terms)
+    a = trace.tensors[li]
+    weight, bias = model.params[f"layer{li}.weight"], model.params[f"layer{li}.bias"]
+    conv = spec.kind == "conv"
+    k, stride, padding = spec.kernel, spec.stride, spec.padding
+    x = trace.caches[li] if conv else a
+    fold = (lambda m: kernels.col2im(m, *a.data.shape, k, stride, padding)) if conv else None
+    c = _backshare(r.data, terms, fold)
     out = Tensor(c * a.data, (r, a, x, weight, bias), dtype=None)
     rm = r.data.reshape(bias.data.shape[0], -1)
     xm = x.data.reshape(x.data.shape[0], -1)
+    wm = weight.data.reshape(len(weight.data), -1)
 
     def bwd(g):
         ga = g * a.data
-        if conv:
-            _, _, _, k, stride, padding, _, _ = cache["geom"]
-            gc = kernels.im2col(ga, k, stride, padding)
-        else:
-            gc = ga.reshape(xm.shape)
+        gc = kernels.im2col(ga, k, stride, padding) if conv else ga.reshape(xm.shape)
         g_r = g_x = g_b = 0
         g_w = None
         for t in terms:
@@ -204,11 +205,13 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
             else:
                 g_wt = s @ gct.T + g_z @ xm.T
             if t.sign != 0:
-                keep_w = weight.data > 0 if t.sign > 0 else weight.data <= 0
+                keep_w = wm > 0 if t.sign > 0 else wm <= 0
                 keep_b = bias.data > 0 if t.sign > 0 else bias.data <= 0
                 g_wt, g_bt = g_wt * keep_w, g_bt * keep_b
             g_w = g_wt if g_w is None else g_w + g_wt
             g_b = g_b + g_bt
+        if conv:
+            g_w = g_w.reshape(weight.data.shape)
         return g_r.reshape(r.data.shape), g * c, g_x.reshape(x.data.shape), g_w, g_b
 
     out.bwd = bwd
@@ -222,9 +225,6 @@ def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = Non
     _, trace = forward_with_trace(model, x, training=False)
     rel = relevance_graph(model, trace, target_class, rules)
     return RelevanceMap([r.data.copy() for r in rel], target_class)
-
-
-_stab_denominator = kernels.stab_denominator
 
 
 def _safe_ratio(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -268,25 +268,15 @@ def input_relevance(
     return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
-def _conv_backshare(r, cache, terms):
-    """``sum(coef * w^T (r / denom))`` folded back to (C, H, W): the rule
-    at a conv layer for a relevance map, before the product with the layer
-    input."""
-    c_in, h, w, k, stride, padding, _, _ = cache["geom"]
-    rmat = r.reshape(cache["zmat"].data.shape)
+def _backshare(r, terms, fold=None):
+    """``sum(coef * w^T (r / denom))``: the rule at a conv or dense layer
+    for a relevance map, before the product with the layer input. For a
+    conv, `fold` is the col2im that takes the patch matrix back to
+    (C, H, W)."""
     out = None
     for t in terms:
-        ccols = t.w.T @ _safe_ratio(rmat, t.denom)
-        term = t.coef * kernels.col2im(ccols, c_in, h, w, k, stride, padding)
-        out = term if out is None else out + term
-    return out
-
-
-def _dense_backshare(r, terms):
-    """``sum(coef * w^T (r / denom))`` for a relevance vector."""
-    out = None
-    for t in terms:
-        term = t.coef * (_safe_ratio(r, t.denom) @ t.w)
+        share = t.w.T @ _safe_ratio(r.reshape(t.denom.shape), t.denom)
+        term = t.coef * (share if fold is None else fold(share))
         out = term if out is None else out + term
     return out
 
@@ -308,19 +298,18 @@ class _Term(NamedTuple):
 def _rule_terms(model, trace, li, rules) -> list:
     """The :class:`_Term` list of the rule at conv or dense layer li."""
     kind = model.layers[li].kind
-    cache = trace.caches[li]
-    if kind == "conv":  # weights act on the patch matrix
-        w, lin_in, z = cache["wm"].data, cache["cols"].data, cache["zmat"].data
-    else:
-        w = model.params[f"layer{li}.weight"].data
-        lin_in, z = trace.tensors[li].data, trace.tensors[li + 1].data
+    w = model.params[f"layer{li}.weight"].data
+    lin_in, z = trace.tensors[li].data, trace.tensors[li + 1].data
+    if kind == "conv":  # weights act on the patch matrix, one column per output position
+        w, lin_in, z = w.reshape(len(w), -1), trace.caches[li].data, z.reshape(len(w), -1)
     if rules.rule_for(kind) == "epsilon":
-        return [_Term(w, np.asarray(1, dtype=w.dtype), _stab_denominator(z, rules.epsilon), z, 0)]
+        denom = kernels.stab_denominator(z, rules.epsilon)
+        return [_Term(w, np.asarray(1, dtype=w.dtype), denom, z, 0)]
     bias = model.params[f"layer{li}.bias"].data
     terms = []
     for w_part, b_part, sign, coef in _split_parts(w, bias, rules):
         z_part = w_part @ lin_in + b_part.reshape((-1,) + (1,) * (lin_in.ndim - 1))
-        denom = _stab_denominator(z_part, rules.epsilon, sign)
+        denom = kernels.stab_denominator(z_part, rules.epsilon, sign)
         terms.append(_Term(w_part, coef, denom, z_part, sign))
     return terms
 
@@ -410,11 +399,11 @@ def _transpose_band(model, trace, stop_index, t, lo, terms):
     hi = lo + (t.shape[2] if t.ndim == 4 else 0)
     for li in range(stop_index):
         spec = model.layers[li]
-        cache = trace.caches[li]
         a = trace.tensors[li].data
         if spec.kind in ("conv", "maxpool"):  # a pool is a window without padding
             conv = spec.kind == "conv"
-            k, stride, padding = cache["geom"][3:6] if conv else (spec.window, spec.stride, 0)
+            k, padding = (spec.kernel, spec.padding) if conv else (spec.window, 0)
+            stride = spec.stride
             n_out, wo = trace.tensors[li + 1].data.shape[1:]
             olo, ohi = _reach(lo, hi, k, stride, padding, n_out)
             if olo >= ohi:
@@ -427,7 +416,7 @@ def _transpose_band(model, trace, stop_index, t, lo, terms):
                 t = _apply_terms(cols, terms[li], slice(olo * wo, ohi * wo))
                 t = t.reshape(len(t), -1, ohi - olo, wo)
             else:
-                t = kernels.pool_gather(slab, cache["idx"][:, olo:ohi], k, stride)
+                t = kernels.pool_gather(slab, trace.caches[li][:, olo:ohi], k, stride)
             lo, hi = olo, ohi
         elif spec.kind == "dense":
             t = _apply_terms((t * a[None])[..., None], terms[li])[..., 0]

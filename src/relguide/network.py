@@ -2,9 +2,10 @@
 passes, and binary weight persistence.
 
 ``forward_with_trace`` is the one pass that builds an autodiff graph and a
-trace, which training and differentiable relevance propagation need;
-evaluation, explanation, the retrieval query and each BiLRP neighbour read
-the ndarray values of that trace. ``embed`` serves the atlas index: it runs
+trace (each activation, plus a conv's patch matrix and a pool's argmax),
+which training and differentiable relevance propagation need; evaluation,
+explanation, the retrieval query and each BiLRP neighbour read the ndarray
+values of that trace. ``embed`` serves the atlas index: it runs
 the same kernels on ndarrays alone to one trace position and returns only
 that activation, with the bits of the trace entry.
 """
@@ -52,7 +53,11 @@ class Model:
     layers: list
     params: dict
     input_shape: tuple
-    n_classes: int = 2
+
+    @property
+    def n_classes(self) -> int:
+        """The width of the last layer: one logit per class."""
+        return infer_shapes(self.layers, self.input_shape)[-1][0]
 
     def param_names(self) -> list:
         return sorted(self.params.keys())
@@ -60,7 +65,7 @@ class Model:
     def astype(self, dtype) -> "Model":
         """Copy with parameters cast (float64 replicas for oracles)."""
         params = {k: Tensor(v.data.astype(dtype), dtype=None) for k, v in self.params.items()}
-        return Model(list(self.layers), params, self.input_shape, self.n_classes)
+        return Model(list(self.layers), params, self.input_shape)
 
     @property
     def dtype(self):
@@ -70,9 +75,9 @@ class Model:
 @dataclass
 class ActivationTrace:
     """Activations per trace position: entry 0 is the input, entry i is the
-    output of layer i-1. `caches[i]` carries what layer i computed besides
-    its output (conv patch matrices, pool argmax indices) for relevance
-    propagation; a layer's input is ``tensors[i]``."""
+    output of layer i-1. `caches[i]` holds the one other value of layer i
+    that relevance propagation reads: a conv's patch-matrix node, a pool's
+    argmax indices, None for any other layer."""
 
     tensors: list
     caches: list = field(default_factory=list)
@@ -81,10 +86,9 @@ class ActivationTrace:
         return len(self.tensors)
 
 
-def infer_shapes(layers, input_shape, n_classes=None) -> list:
+def infer_shapes(layers, input_shape) -> list:
     """Propagate shapes through the spec list; raises ConfigError on any
-    incompatibility, and, given `n_classes`, unless the last layer outputs
-    that many logits. Returns the shape after every layer (input first)."""
+    incompatibility. Returns the shape after every layer (input first)."""
     shapes = [tuple(input_shape)]
     cur = tuple(input_shape)
     for li, spec in enumerate(layers):
@@ -123,8 +127,6 @@ def infer_shapes(layers, input_shape, n_classes=None) -> list:
         else:
             raise ConfigError(f"layer {li}: unknown kind {spec.kind!r}")
         shapes.append(cur)
-    if n_classes is not None and cur != (n_classes,):
-        raise ConfigError(f"the last layer outputs {cur}, not {n_classes} class logits")
     return shapes
 
 
@@ -174,12 +176,9 @@ def init_params(layers, input_shape, seed) -> dict:
     return params
 
 
-def build_model(layers, input_shape, seed=0, n_classes=None) -> Model:
-    """A model with fresh parameters; `n_classes` defaults to the width of
-    the last layer."""
-    out_shape = infer_shapes(layers, input_shape, n_classes)[-1]
-    n_classes = out_shape[0] if n_classes is None else n_classes
-    return Model(layers, init_params(layers, input_shape, seed), tuple(input_shape), n_classes)
+def build_model(layers, input_shape, seed=0) -> Model:
+    """A model with fresh parameters."""
+    return Model(layers, init_params(layers, input_shape, seed), tuple(input_shape))
 
 
 def build_default_model(
@@ -191,7 +190,7 @@ def build_default_model(
     dropout_rate=0.25,
 ) -> Model:
     layers = default_layers(conv_channels, dense_units, n_classes, dropout_rate)
-    return build_model(layers, input_shape, seed, n_classes)
+    return build_model(layers, input_shape, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +220,16 @@ def forward_with_trace(
     tensors = [x]
     caches = []
     for li, spec in enumerate(model.layers[:stop]):
-        cache = {}
+        cache = None
         if spec.kind == "conv":
-            h, cache = engine.conv2d_with_cache(
+            h, cache = engine.conv2d(
                 h, model.params[f"layer{li}.weight"], model.params[f"layer{li}.bias"],
                 spec.stride, spec.padding,
             )
         elif spec.kind == "relu":
             h = engine.relu(h)
         elif spec.kind == "maxpool":
-            h, idx = engine.maxpool2d(h, spec.window, spec.stride)
-            cache = {"idx": idx}
+            h, cache = engine.maxpool2d(h, spec.window, spec.stride)
         elif spec.kind == "dropout":
             h = engine.dropout(h, spec.rate, training, rng)
         elif spec.kind == "flatten":
@@ -352,9 +350,9 @@ def load_weights(path, template: Optional[Model] = None) -> Model:
     """
     tensors = read_weight_tensors(path)
     if template is None:
-        layers, input_shape, n_classes = _layout_from_tensor_shapes(tensors)
+        layers, input_shape = _layout_from_tensor_shapes(tensors)
     else:
-        layers, input_shape, n_classes = template.layers, template.input_shape, template.n_classes
+        layers, input_shape = template.layers, template.input_shape
     try:
         want = param_shapes(layers, input_shape)
     except ConfigError as e:  # only an inferred layout can fail
@@ -369,7 +367,7 @@ def load_weights(path, template: Optional[Model] = None) -> Model:
         if tensors[name].shape != want[name]:
             raise FormatError(f"tensor {name} has dims {tensors[name].shape}, expected {want[name]}")
         params[name] = Tensor(tensors[name], name=name)
-    return Model(list(layers), params, tuple(input_shape), n_classes)
+    return Model(list(layers), params, tuple(input_shape))
 
 
 def _layer_of(name: str) -> int:
@@ -380,8 +378,8 @@ def _layer_of(name: str) -> int:
 
 
 def _layout_from_tensor_shapes(tensors: dict) -> tuple:
-    """(layers, input shape, n_classes) of the default family that the
-    stored weight dims describe."""
+    """(layers, input shape) of the default family that the stored weight
+    dims describe."""
     conv_shapes = []
     dense_shapes = []
     for name in sorted(tensors, key=_layer_of):
@@ -404,4 +402,4 @@ def _layout_from_tensor_shapes(tensors: dict) -> tuple:
         raise FormatError(f"weight file has {n_classes} outputs; relguide models have 2 classes")
     spatial = flat // channels[-1]
     side = int(round(np.sqrt(spatial))) * (2 ** len(channels))
-    return default_layers(channels, dense_units, n_classes), (in_channels, side, side), n_classes
+    return default_layers(channels, dense_units, n_classes), (in_channels, side, side)

@@ -42,7 +42,6 @@ class LossConfig:
     rules: LRPRuleConfig = field(default_factory=LRPRuleConfig)
     score_floor: float = 1e-3
     score_variant: str = "unnormalized"
-    constant_score: Optional[float] = None  # test hook: overrides the computed score
 
     def __post_init__(self):
         if self.mode not in LOSS_MODES:
@@ -223,10 +222,6 @@ def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale, ba
             loss_cfg.score_variant, loss_cfg.score_floor,
         )
         score_value = float(score.data)
-        if loss_cfg.constant_score is not None:
-            score = engine.const(
-                np.asarray(loss_cfg.constant_score, dtype=score.data.dtype), dtype=None
-            )
         loss = guided_loss(
             logits, sample.label, score, loss_cfg.power, loss_cfg.score_floor
         )

@@ -217,7 +217,7 @@ def matmul_t(a, b):
 
 
 def col2im_node(cols, geom):
-    c, h, w, k, stride, padding, _, _ = geom
+    c, h, w, k, stride, padding = geom
     out = Tensor(kernels.col2im(cols.data, c, h, w, k, stride, padding), (cols,), dtype=None)
     out.bwd = lambda g: (kernels.im2col(g, k, stride, padding),)
     return out
@@ -265,15 +265,17 @@ def relevance_graph_reference(model, trace, target_class, rules=None):
     for li in reversed(range(len(model.layers))):
         spec, cache, a = model.layers[li], trace.caches[li], trace.tensors[li]
         bias = model.params.get(f"layer{li}.bias")
-        if spec.kind == "conv":
-            rmat = E.reshape(r, cache["zmat"].data.shape)
-            r = _rule_graph(rmat, a, cache["cols"], cache["wm"], bias, cache["zmat"],
-                            rules, rules.conv_rule, cache["geom"])
+        if spec.kind == "conv":  # the rule over the patch matrix: one column per output position
+            wm = E.reshape(model.params[f"layer{li}.weight"], (spec.channels, -1))
+            zmat = E.reshape(trace.tensors[li + 1], (spec.channels, -1))
+            geom = (*a.data.shape, spec.kernel, spec.stride, spec.padding)
+            r = _rule_graph(E.reshape(r, zmat.data.shape), a, cache, wm, bias, zmat,
+                            rules, rules.conv_rule, geom)
         elif spec.kind == "dense":
             r = _rule_graph(r, a, a, model.params[f"layer{li}.weight"], bias,
                             trace.tensors[li + 1], rules, rules.dense_rule)
         elif spec.kind == "maxpool":
-            r = E.pool_route(r, cache["idx"], a.data.shape[1:], spec.window, spec.stride)
+            r = E.pool_route(r, cache, a.data.shape[1:], spec.window, spec.stride)
         elif spec.kind == "flatten":
             r = E.reshape(r, a.data.shape)
         rel[li] = r
@@ -304,7 +306,7 @@ def random_conv_net(rng, with_bias=True, n_classes=2, input_hw=6, in_channels=2,
     layers.append(LayerSpec("flatten"))
     layers.append(LayerSpec("dense", units=n_classes))
     model = build_model(layers, (in_channels, input_hw, input_hw),
-                        seed=int(rng.integers(0, 2**31)), n_classes=n_classes)
+                        seed=int(rng.integers(0, 2**31)))
     if not with_bias:
         for name in model.param_names():
             if name.endswith(".bias"):
@@ -324,7 +326,7 @@ def random_dense_net(rng, widths=None, input_len=4, with_bias=True, n_classes=2)
         layers.append(LayerSpec("dense", units=wdt))
         layers.append(LayerSpec("relu"))
     layers.append(LayerSpec("dense", units=n_classes))
-    model = build_model(layers, (input_len,), seed=int(rng.integers(0, 2**31)), n_classes=n_classes)
+    model = build_model(layers, (input_len,), seed=int(rng.integers(0, 2**31)))
     for name in model.param_names():
         if name.endswith(".bias"):
             if with_bias:

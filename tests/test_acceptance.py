@@ -37,7 +37,7 @@ from helpers import (
     sample_smooth_net,
 )
 from test_atlas import brute_force_knn
-from test_training import oracle_score
+from test_training import hold_score_at_one, oracle_score
 
 
 def _report(criterion, detail):
@@ -309,7 +309,7 @@ class TestCriterion7EarlyAdvantage:
 
 
 class TestCriterion8ReductionIdentity:
-    def test_three_epoch_bitwise_trajectory(self):
+    def test_three_epoch_bitwise_trajectory(self, monkeypatch):
         train_set = generate(GeneratorConfig(height=32, width=32, samples_per_class=8, seed=33))
         val_set = generate(
             GeneratorConfig(height=32, width=32, samples_per_class=4, seed=33), id_offset=900
@@ -326,9 +326,10 @@ class TestCriterion8ReductionIdentity:
         m_pen = build_model(layers, (3, 32, 32), seed=17)
         tc = dict(epochs=3, batch_size=8, learning_rate=1e-3, seed=5)
         train(m_orig, train_set, val_set, LossConfig(mode="original"), TrainConfig(**tc))
+        hold_score_at_one(monkeypatch)
         train(
             m_pen, train_set, val_set,
-            LossConfig(mode="penalization", power=2.0, constant_score=1.0),
+            LossConfig(mode="penalization", power=2.0),
             TrainConfig(**tc),
         )
         for name in m_orig.param_names():

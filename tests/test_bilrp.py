@@ -81,7 +81,7 @@ class TestEmbedAndSimilarity:
 
 def _identity_image_model():
     layers = [LayerSpec("flatten"), LayerSpec("dense", units=2)]
-    return build_model(layers, (1, 4, 4), seed=0, n_classes=2)
+    return build_model(layers, (1, 4, 4), seed=0)
 
 
 class TestBilrp:
@@ -120,7 +120,7 @@ class TestBilrp:
         """Joint matrix equals the sum over embedding units of outer
         products of hand-computed per-unit relevance maps."""
         layers = [LayerSpec("flatten"), LayerSpec("dense", units=2)]
-        model = build_model(layers, (1, 2, 2), seed=0, n_classes=2)
+        model = build_model(layers, (1, 2, 2), seed=0)
         w = np.array(
             [[0.5, -1.0, 2.0, 0.25], [1.5, 0.5, -0.5, 1.0]], dtype=np.float32
         )

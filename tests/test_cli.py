@@ -676,11 +676,12 @@ class TestErrorTable:
         nan_set = load_dataset(data / "val.rgtd")
         nan_set[1].image[0, 0, 0] = np.nan
         save_dataset(nan_set, root / "nan.rgtd")
+        (root / "a_directory").mkdir()
         return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
                 "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw",
                 "wide": root / "wide.rgtd", "nan_weights": root / "nan.rgtw",
-                "nan": root / "nan.rgtd"}
+                "nan": root / "nan.rgtd", "dir": root / "a_directory"}
 
     TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
     SERVE = ["--weights", "{weights}", "--data", "{val}"]
@@ -752,6 +753,13 @@ class TestErrorTable:
         ("retrieve", ["--weights", "{weights}", "--atlas", "{nan}", "--query-id", "1000000",
                       "--layer", "1"], None, 3),
         ("train", ["--data", "{train}", "--val", "{nan}", "--seed", "1"], None, 3),
+        # a directory where an input file belongs
+        ("evaluate", ["--weights", "{dir}", "--data", "{val}"], None, 2),
+        ("explain", ["--weights", "{weights}", "--data", "{dir}", "--sample-id", "1000000"],
+         None, 2),
+        ("retrieve", ["--weights", "{weights}", "--atlas", "{dir}", "--query-id", "1000000",
+                      "--layer", "3"], None, 2),
+        ("train", TRAIN + ["--config", "{dir}"], None, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
@@ -767,6 +775,17 @@ class TestErrorTable:
         assert not out.exists()
         if code == 3:  # the line names the tensor or the sample that holds the NaN
             assert re.search(r"weight tensor layer\d+\.weight |dataset sample 1000001 ", err)
+
+    def test_out_naming_a_file(self, paths, tmp_path, capsys):
+        """An --out that is a regular file is a path error: exit 2, one
+        stderr line, and the file is left as it was."""
+        out = tmp_path / "taken"
+        out.write_bytes(b"keep me\n")
+        argv = [a.format(**paths) for a in self.SERVE]
+        assert run_cli("evaluate", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.read_bytes() == b"keep me\n"
 
 
 U32_MAX = 2**32 - 1

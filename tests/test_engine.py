@@ -29,7 +29,7 @@ class TestConv2d:
         x = Tensor(np.ones((1, 3, 3)))
         w = Tensor(np.full((1, 1, 1, 1), 2.0))
         b = Tensor(np.zeros(1))
-        out = E.conv2d(x, w, b)
+        out = E.conv2d(x, w, b)[0]
         assert out.data.shape == (1, 3, 3)
         np.testing.assert_array_equal(out.data, np.full((1, 3, 3), 2.0, dtype=np.float32))
 
@@ -37,7 +37,7 @@ class TestConv2d:
         x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
         w = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
         b = np.array([1.0])
-        out = E.conv2d(Tensor(x), Tensor(w), Tensor(b))
+        out = E.conv2d(Tensor(x), Tensor(w), Tensor(b))[0]
         expected = naive_conv2d(x, w, b)
         assert out.data.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == pytest.approx(6.0)
@@ -47,14 +47,14 @@ class TestConv2d:
         x = Tensor(rng.normal(size=(3, 64, 64)).astype(np.float32))
         w = Tensor(rng.normal(size=(16, 3, 3, 3)).astype(np.float32))
         b = Tensor(np.zeros(16))
-        assert E.conv2d(x, w, b, stride=1, padding=1).data.shape == (16, 64, 64)
+        assert E.conv2d(x, w, b, stride=1, padding=1)[0].data.shape == (16, 64, 64)
 
     def test_random_against_oracle(self, rng):
         for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1)]:
             x = rng.normal(size=(2, 7, 7)).astype(np.float32)
             w = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
             b = rng.normal(size=3).astype(np.float32)
-            out = E.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)
+            out = E.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)[0]
             np.testing.assert_allclose(out.data, naive_conv2d(x, w, b, stride, padding), rtol=1e-4, atol=1e-5)
 
     def test_channel_mismatch(self):
@@ -298,7 +298,7 @@ class TestFactoredGradients:
         factored = E.backward(_two_path_loss(m64, x64, probe))
         behind = {k: E.reshape(t, t.data.shape) for k, t in m64.params.items()}
         outer = E.backward(_two_path_loss(
-            Model(m64.layers, behind, m64.input_shape, m64.n_classes), x64, probe))
+            Model(m64.layers, behind, m64.input_shape), x64, probe))
         weight = m64.params["layer4.weight"]
         assert isinstance(factored[weight], E.FactorPairs)
         for name, t in m64.params.items():
@@ -412,7 +412,7 @@ class TestShapeAlgebra:
     def test_conv_output_shape_formula(self, hw, cin, cout, k, stride, padding):
         x = Tensor(np.zeros((cin, hw, hw)))
         w = Tensor(np.zeros((cout, cin, k, k)))
-        out = E.conv2d(x, w, Tensor(np.zeros(cout)), stride, padding)
+        out = E.conv2d(x, w, Tensor(np.zeros(cout)), stride, padding)[0]
         expect = (hw + 2 * padding - k) // stride + 1
         assert out.data.shape == (cout, expect, expect)
 

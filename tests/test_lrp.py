@@ -58,7 +58,7 @@ class TestEpsilonRule:
             LRPRuleConfig(**kw)
 
     def test_single_dense_layer_w_times_x(self):
-        model = build_model([LayerSpec("dense", units=1)], (3,), seed=0, n_classes=1)
+        model = build_model([LayerSpec("dense", units=1)], (3,), seed=0)
         _zero_biases(model)
         w = np.array([[2.0, -1.0, 0.5]], dtype=np.float32)
         model.params["layer0.weight"].data[:] = w
@@ -70,7 +70,7 @@ class TestEpsilonRule:
 
     def test_dead_relu_path_gets_zero(self):
         layers = [LayerSpec("dense", units=2), LayerSpec("relu"), LayerSpec("dense", units=1)]
-        model = build_model(layers, (2,), seed=0, n_classes=1)
+        model = build_model(layers, (2,), seed=0)
         _zero_biases(model)
         model.params["layer0.weight"].data[:] = np.array([[1.0, 0.0], [0.0, -1.0]])
         model.params["layer2.weight"].data[:] = np.array([[1.0, 1.0]])
@@ -83,7 +83,7 @@ class TestEpsilonRule:
     def test_two_layer_hand_unrolled(self):
         """dense(2->2) -> relu -> dense(2->1), unrolled epsilon rule."""
         layers = [LayerSpec("dense", units=2), LayerSpec("relu"), LayerSpec("dense", units=1)]
-        model = build_model(layers, (2,), seed=0, n_classes=1)
+        model = build_model(layers, (2,), seed=0)
         _zero_biases(model)
         w1 = np.array([[1.5, -0.5], [0.25, 1.0]], dtype=np.float32)
         w2 = np.array([[2.0, -1.0]], dtype=np.float32)
@@ -475,7 +475,7 @@ class TestRuleStep:
         gets 0 relevance, and the node passes a finite zero gradient
         through it."""
         layers = [LayerSpec("dense", units=2), LayerSpec("relu"), LayerSpec("dense", units=1)]
-        model = build_model(layers, (3,), seed=0, n_classes=1).astype(np.float64)
+        model = build_model(layers, (3,), seed=0).astype(np.float64)
         model.params["layer0.weight"].data[1] = 0
         model.params["layer0.bias"].data[:] = [0.1, 0.0]
         x = np.array([1.0, 0.5, 2.0])
@@ -492,9 +492,7 @@ class TestRuleStep:
 
 class TestNumericalGuard:
     def test_overflow_raises(self):
-        model = build_model(
-            [LayerSpec("dense", units=2)], (2,), seed=0, n_classes=2
-        )
+        model = build_model([LayerSpec("dense", units=2)], (2,), seed=0)
         model.params["layer0.weight"].data[:] = 1e30
         x = np.array([1e30, 1e30], dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -6,7 +6,7 @@ import pytest
 import hashlib
 import re
 
-from relguide import network
+from relguide import kernels, network
 from relguide.engine import Tensor
 from relguide.errors import ConfigError, DimensionError, FormatError, NumericalError
 from relguide.network import (
@@ -71,14 +71,19 @@ class TestBuildDefaultModel:
         assert param_shapes(layers, (3, 32, 32)) == {k: v.data.shape for k, v in params.items()}
         assert list(param_shapes(layers, (3, 32, 32))) == list(params)
 
-    def test_last_layer_width_must_match_n_classes(self):
-        layers = [LayerSpec("dense", units=2)]
-        with pytest.raises(ConfigError, match="not 3 class logits"):
-            build_model(layers, (3,), n_classes=3)
-        with pytest.raises(ConfigError, match="not 3 class logits"):
-            infer_shapes(default_layers((4,), 8), (3, 16, 16), n_classes=3)
-        assert infer_shapes(layers, (3,), n_classes=2)[-1] == (2,)
-        assert build_model(layers, (3,)).n_classes == 2
+    def test_n_classes_is_last_layer_width(self):
+        """A model's class count is the width of its last layer, and follows
+        the layers: a model cannot state another."""
+        for units in (1, 2, 5):
+            layers = [LayerSpec("dense", units=4), LayerSpec("relu"),
+                      LayerSpec("dense", units=units)]
+            model = build_model(layers, (3,))
+            assert model.n_classes == units == infer_shapes(layers, (3,))[-1][0]
+            assert model.astype(np.float64).n_classes == units
+            model.layers.append(LayerSpec("relu"))
+            assert model.n_classes == units
+        model = build_default_model((3, 16, 16), conv_channels=(4,), dense_units=8, n_classes=3)
+        assert model.n_classes == 3
 
     def test_layer_count(self):
         model = build_default_model((3, 64, 64), seed=0)
@@ -145,8 +150,26 @@ class TestForward:
             for got, want in zip(trace.tensors, full.tensors[: stop + 1]):
                 assert got.data.tobytes() == want.data.tobytes()
             for got, want in zip(trace.caches, full.caches):
-                if "idx" in want:
-                    np.testing.assert_array_equal(got["idx"], want["idx"])
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.data.tobytes() == want.data.tobytes()
+        # each layer saves one thing besides its output: a conv its patch-matrix
+        # node, a pool its argmax, every other layer nothing
+        assert len(full.caches) == n
+        for li, (spec, cache) in enumerate(zip(model.layers, full.caches)):
+            a = full.tensors[li].data
+            if spec.kind == "conv":
+                want = kernels.im2col(a, spec.kernel, spec.stride, spec.padding)
+                assert isinstance(cache, Tensor) and cache.parents == (full.tensors[li],)
+                assert cache.data.dtype == want.dtype and cache.data.shape == want.shape
+                assert cache.data.tobytes() == want.tobytes()
+            elif spec.kind == "maxpool":
+                values, idx = kernels.maxpool_forward(a, spec.window, spec.stride)
+                assert isinstance(cache, np.ndarray) and cache.dtype == idx.dtype
+                np.testing.assert_array_equal(cache, idx)
+                assert values.tobytes() == full.tensors[li + 1].data.tobytes()
+            else:
+                assert cache is None
         for stop in (-1, n + 1):
             with pytest.raises(IndexError, match=rf"out of range \(0\.\.{n}\)"):
                 forward_with_trace(model, np.zeros((1, 3, 3), dtype=np.float32), stop=stop)

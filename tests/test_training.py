@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relguide import engine as E
+from relguide import training
 from relguide.data import GeneratorConfig, LabeledSample, generate
 from relguide.engine import Tensor
 from relguide.errors import ConfigError, ScoreError
@@ -24,6 +25,13 @@ from relguide.training import (
 )
 
 from helpers import central_diff, check_gradients, naive_softmax_ce, params_of
+
+
+def hold_score_at_one(monkeypatch):
+    """Make the guided loss's score the constant 1 (a leaf, so no gradient
+    reaches the relevance path), whatever the relevance is."""
+    monkeypatch.setattr(training, "_score_graph",
+                        lambda rel, *args: E.const(np.ones((), dtype=rel.data.dtype), dtype=None))
 
 
 def oracle_score(relevance, lesion, obj, variant="unnormalized", floor=1e-3):
@@ -222,14 +230,15 @@ class TestTrain:
         assert records[0].accuracy == records[1].accuracy
         assert records[0].score_class0 == records[1].score_class0
 
-    def test_constant_score_one_matches_original_bitwise(self):
+    def test_constant_score_one_matches_original_bitwise(self, monkeypatch):
         train_set, val_set = _toy_sets()
         m1, m2 = _toy_model(3), _toy_model(3)
         cfg = dict(epochs=2, batch_size=4, learning_rate=1e-3, seed=9)
         train(m1, train_set, val_set, LossConfig(mode="original"), TrainConfig(**cfg))
+        hold_score_at_one(monkeypatch)
         train(
             m2, train_set, val_set,
-            LossConfig(mode="penalization", power=2.0, constant_score=1.0),
+            LossConfig(mode="penalization", power=2.0),
             TrainConfig(**cfg),
         )
         for k in m1.param_names():
