@@ -13,14 +13,12 @@ input is a linear map L, and pooling to the grid is linear too. Unit m's
 pooled map is therefore row m of ``P[m, p] = phi_m * (L^T 1_p)[m]``, where
 1_p marks patch p on every channel: the transposed rules
 (:func:`relguide.lrp.relevance_transpose`) with the g*g patch markers as
-tangents give P for every unit, exactly, in one pass per grid row of g
-tangents. A grid row's tangents reach only a band of rows at each conv and
-pool layer, and the pass works on that band alone. One pass per grid row
-takes 1/g of the memory of one pass over all patches and gives the same
-bits: tangents with the same band share a pass, and numpy runs one GEMM
-per stacked tangent. The joint matrix is ``P_a^T P_b``; its accumulation
-order over units is fixed, so results are reproducible and the transpose
-symmetry between (a, b) and (b, a) is exact.
+tangents give P for every unit, exactly, in one call. The g markers of a
+grid row reach the same band of rows at each conv and pool layer, so the
+call runs one pass per grid row, over that band alone. The joint matrix
+is ``P_a^T P_b``; its accumulation order over units is fixed, so results
+are reproducible and the transpose symmetry between (a, b) and (b, a) is
+exact.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .lrp import LRPRuleConfig, relevance_transpose, transpose_terms
+from .lrp import LRPRuleConfig, relevance_transpose
 from .network import ActivationTrace, Model, embed, forward_with_trace
 
 
@@ -88,9 +86,8 @@ def unit_relevance(
     grid: int = 8,
 ) -> UnitRelevance:
     """Pooled relevance of every unit at `layer_index` for one traced input
-    (traced at least that far), from one transposed pass per grid row, over
-    the band of rows that row reaches; the rows share one computation of the
-    rule terms."""
+    (traced at least that far), from one transposed call over the g*g patch
+    markers."""
     rules = rules or LRPRuleConfig()
     if len(model.input_shape) != 3:
         raise ConfigError(f"bilrp needs (C,H,W) inputs, model takes {model.input_shape}")
@@ -100,13 +97,10 @@ def unit_relevance(
     if not 0 <= layer_index < len(trace):
         raise IndexError(f"layer index {layer_index} out of range")
     g2 = grid * grid
-    markers = np.eye(g2).reshape(g2, 1, grid, 1, grid, 1)
-    tangents = np.broadcast_to(markers, (g2, c, grid, h // grid, grid, w // grid))
-    terms = transpose_terms(model, trace, layer_index, rules)
-    t = np.concatenate([
-        relevance_transpose(model, trace, layer_index, row.reshape(grid, c, h, w), rules, terms)
-        for row in np.split(tangents, grid)
-    ])
+    markers = np.eye(g2).reshape(g2, 1, grid, grid).repeat(h // grid, 2).repeat(w // grid, 3)
+    # a view over channels: a materialized (g*g, C, H, W) stack would be C times the size
+    tangents = np.broadcast_to(markers, (g2, c, h, w))
+    t = relevance_transpose(model, trace, layer_index, tangents, rules)
     emb = trace.tensors[layer_index].data.reshape(-1)
     pooled = np.ascontiguousarray(t.reshape(g2, -1).T) * emb[:, None]
     return UnitRelevance(layer_index, grid, rules, emb, pooled)

@@ -265,13 +265,6 @@ def _check_run_config(cfg: dict, train_set, epochs=None) -> None:
     loss_config_from(cfg, mode="penalization", power=cfg.get("power", 0.0))
 
 
-def _sample_by_id(samples, sample_id: int):
-    for s in samples:
-        if s.sample_id == sample_id:
-            return s
-    raise UsageError(f"sample id {sample_id} not found in dataset")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -390,7 +383,13 @@ def cmd_retrieve(args) -> int:
     if cfg.get("layer") is None:
         raise UsageError("retrieve requires --layer (trace position of the embedding)")
     atlas_set = load_dataset(args.atlas)
-    query = _sample_by_id(atlas_set, args.query_id)
+    by_id = {s.sample_id: s for s in atlas_set}
+    if len(by_id) < len(atlas_set):
+        repeated = next(s.sample_id for s in atlas_set if by_id[s.sample_id] is not s)
+        raise FormatError(f"atlas sample id {repeated} appears more than once")
+    if args.query_id not in by_id:
+        raise UsageError(f"sample id {args.query_id} not found in dataset")
+    query = by_id[args.query_id]
     model = load_weights(args.weights)
     _check_input_shape(query.image.shape, model.input_shape)
     rules = rules_from_config(cfg)
@@ -414,7 +413,6 @@ def cmd_retrieve(args) -> int:
     cred = credibility(neighbors, pred)
     query_units = unit_relevance(model, trace, layer, rules, grid)
     artifacts = []
-    by_id = {s.sample_id: s for s in atlas_set}
     for nid, _, _ in neighbors:
         joint = bilrp(model, query_units, by_id[nid].image, layer, rules, grid=grid,
                       pair=(query.sample_id, nid))

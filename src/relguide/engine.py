@@ -60,11 +60,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, name={self.name})"
 
 
-def const(x, dtype=np.float32) -> Tensor:
-    """A leaf tensor that never receives a gradient entry of interest."""
-    return Tensor(x, dtype=dtype)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to `shape`."""
     extra = g.ndim - len(shape)
@@ -276,10 +271,11 @@ def pool_route(r: Tensor, idx: np.ndarray, in_hw, window: int, stride: int) -> T
     return out
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: Optional[np.random.Generator]) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout drawn from `rng`; the identity when `rng` is None."""
     if not 0 <= rate < 1:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     scale = np.asarray(1.0 / (1.0 - rate), dtype=x.data.dtype)

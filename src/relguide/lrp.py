@@ -222,7 +222,7 @@ def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = Non
     """Full relevance map for one input, propagated from `target_class`."""
     if not 0 <= target_class < model.n_classes:
         raise ValueError(f"target class {target_class} out of range")
-    _, trace = forward_with_trace(model, x, training=False)
+    _, trace = forward_with_trace(model, x)
     rel = relevance_graph(model, trace, target_class, rules)
     return RelevanceMap([r.data.copy() for r in rel], target_class)
 
@@ -329,24 +329,12 @@ def _split_parts(w, bias, rules):
 # up: the transposed walk
 # ---------------------------------------------------------------------------
 
-def transpose_terms(model: Model, trace: ActivationTrace, stop_index: int, rules) -> dict:
-    """{layer index: rule terms} of every conv and dense layer below
-    `stop_index`: what :func:`relevance_transpose` reads of the weights, so
-    passes over one trace can share it."""
-    return {
-        li: _rule_terms(model, trace, li, rules)
-        for li in range(stop_index)
-        if model.layers[li].kind in ("conv", "dense")
-    }
-
-
 def relevance_transpose(
     model: Model,
     trace: ActivationTrace,
     stop_index: int,
     tangents: np.ndarray,
     rules: Optional[LRPRuleConfig] = None,
-    terms: Optional[dict] = None,
 ) -> np.ndarray:
     """Adjoint of :func:`relevance_stack`: carry `tangents` (M stacked maps
     shaped like the input) up to trace position `stop_index` through the
@@ -357,9 +345,8 @@ def relevance_transpose(
     Seeding relevance_stack with one unit at a time costs one map per unit;
     a tangent that marks one input region gives that region's share of every
     unit's relevance at once. The pass keeps the tangents' dtype, so float64
-    tangents give a float64 pass over the float32 activations. `terms`, from
-    :func:`transpose_terms` for the same trace, position and rules, skips
-    recomputing them.
+    tangents give a float64 pass over the float32 activations. The rule
+    terms of each layer are built once per call and shared by its passes.
 
     A (C, H, W) tangent that is nonzero only in input rows [lo, hi) reaches
     only a band of rows at each conv or pool layer. The pass works on that
@@ -374,8 +361,8 @@ def relevance_transpose(
     in_shape = trace.tensors[0].data.shape
     if tangents.shape[1:] != in_shape:
         raise ConfigError(f"tangent shape {tangents.shape[1:]} does not match input {in_shape}")
-    if terms is None:
-        terms = transpose_terms(model, trace, stop_index, rules)
+    terms = {li: _rule_terms(model, trace, li, rules)
+             for li in range(stop_index) if model.layers[li].kind in ("conv", "dense")}
     top = trace.tensors[stop_index].data
     out = np.zeros((len(tangents),) + top.shape, dtype=np.result_type(tangents, top))
     live = tangents != 0

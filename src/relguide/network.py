@@ -45,8 +45,6 @@ class LayerSpec:
     rate: float = 0.0
     units: int = 0
 
-    KINDS = ("conv", "relu", "maxpool", "dropout", "flatten", "dense")
-
 
 @dataclass
 class Model:
@@ -200,7 +198,6 @@ def build_default_model(
 def forward_with_trace(
     model: Model,
     x,
-    training: bool = False,
     rng: Optional[np.random.Generator] = None,
     stop: Optional[int] = None,
 ):
@@ -208,14 +205,14 @@ def forward_with_trace(
 
     The trace holds graph tensors, so any entry can serve as a relevance
     starting point or as a feature source while staying differentiable.
-    An ndarray input takes the model's parameter dtype. With a trace position
-    `stop`, the pass ends there and outputs its activation, not the logits.
+    An ndarray input takes the model's parameter dtype. Dropout draws from
+    `rng` when one is given (training) and is the identity otherwise. With a
+    trace position `stop`, the pass ends there and outputs its activation,
+    not the logits.
     """
     if not isinstance(x, Tensor):
         x = Tensor(x, dtype=model.dtype)
     _check_pass(model, x.data.shape, stop)
-    if training and rng is None:
-        rng = np.random.default_rng(0)
     h = x
     tensors = [x]
     caches = []
@@ -231,7 +228,7 @@ def forward_with_trace(
         elif spec.kind == "maxpool":
             h, cache = engine.maxpool2d(h, spec.window, spec.stride)
         elif spec.kind == "dropout":
-            h = engine.dropout(h, spec.rate, training, rng)
+            h = engine.dropout(h, spec.rate, rng)
         elif spec.kind == "flatten":
             h = engine.flatten(h)
         elif spec.kind == "dense":

@@ -155,8 +155,8 @@ def _score_graph(
     r_mask = engine.sum_all(engine.mul(pos, Tensor(lesion.astype(dtype), dtype=None)))
     r_rest = engine.sum_all(engine.mul(pos, Tensor(rest.astype(dtype), dtype=None)))
     if variant == "area_normalized":
-        r_mask = engine.mul(r_mask, engine.const(1.0 / lesion.sum(), dtype=dtype))
-        r_rest = engine.mul(r_rest, engine.const(1.0 / max(int(rest.sum()), 1), dtype=dtype))
+        r_mask = engine.mul(r_mask, Tensor(1.0 / lesion.sum(), dtype=dtype))
+        r_rest = engine.mul(r_rest, Tensor(1.0 / max(int(rest.sum()), 1), dtype=dtype))
     denom = engine.clamp_min(engine.add(r_mask, r_rest), _DENOM_GUARD)
     return engine.clamp_min(engine.div(r_mask, denom), floor)
 
@@ -168,7 +168,7 @@ def guided_loss(logits, label: int, score, power: float, floor: float = 1e-3):
         logits = Tensor(logits)
     ce = engine.softmax_cross_entropy(logits, label)
     if not isinstance(score, Tensor):
-        score = engine.const(np.asarray(score, dtype=ce.data.dtype), dtype=None)
+        score = Tensor(np.asarray(score, dtype=ce.data.dtype), dtype=None)
     return engine.div(ce, engine.pow_const(engine.clamp_min(score, floor), power))
 
 
@@ -213,7 +213,7 @@ def _sample_loss_and_grads(model, sample, loss_cfg, dropout_seed, grad_scale, ba
     gradients to the :class:`engine.GradientSum` `batch_grads` and return
     (loss_value, score_value). The graph is freed on return."""
     rng = np.random.default_rng(np.random.SeedSequence([dropout_seed]))
-    logits, trace = forward_with_trace(model, sample.image, training=True, rng=rng)
+    logits, trace = forward_with_trace(model, sample.image, rng=rng)
     score_value = 1.0
     if loss_cfg.mode == "penalization":
         rel = relevance_graph(model, trace, sample.label, loss_cfg.rules)

@@ -246,7 +246,7 @@ def _rule_graph(r, a, x, weight, bias, z, rules, rule, conv_geom=None):
         if conv_geom is not None:
             term = col2im_node(term, conv_geom)
         if coef != 1.0:
-            term = E.mul(E.const(np.asarray(coef, dtype=term.data.dtype), dtype=None), term)
+            term = E.mul(E.Tensor(np.asarray(coef, dtype=term.data.dtype), dtype=None), term)
         c = term if c is None else E.add(c, term)
     return E.mul(a, c)
 

@@ -676,12 +676,16 @@ class TestErrorTable:
         nan_set = load_dataset(data / "val.rgtd")
         nan_set[1].image[0, 0, 0] = np.nan
         save_dataset(nan_set, root / "nan.rgtd")
+        repeated_set = load_dataset(data / "val.rgtd")
+        repeated_set[2].sample_id = repeated_set[1].sample_id  # the query's id stays unique
+        save_dataset(repeated_set, root / "repeated.rgtd")
         (root / "a_directory").mkdir()
         return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
                 "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw",
                 "wide": root / "wide.rgtd", "nan_weights": root / "nan.rgtw",
-                "nan": root / "nan.rgtd", "dir": root / "a_directory"}
+                "nan": root / "nan.rgtd", "repeated": root / "repeated.rgtd",
+                "dir": root / "a_directory"}
 
     TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
     SERVE = ["--weights", "{weights}", "--data", "{val}"]
@@ -760,6 +764,9 @@ class TestErrorTable:
         ("retrieve", ["--weights", "{weights}", "--atlas", "{dir}", "--query-id", "1000000",
                       "--layer", "3"], None, 2),
         ("train", TRAIN + ["--config", "{dir}"], None, 2),
+        # an atlas that holds one sample id twice
+        ("retrieve", ["--weights", "{weights}", "--atlas", "{repeated}", "--query-id", "1000000",
+                      "--layer", "3"], None, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
@@ -775,6 +782,8 @@ class TestErrorTable:
         assert not out.exists()
         if code == 3:  # the line names the tensor or the sample that holds the NaN
             assert re.search(r"weight tensor layer\d+\.weight |dataset sample 1000001 ", err)
+        if str(paths["repeated"]) in argv:  # the line names the repeated id
+            assert "atlas sample id 1000001 appears more than once" in err
 
     def test_out_naming_a_file(self, paths, tmp_path, capsys):
         """An --out that is a regular file is a path error: exit 2, one

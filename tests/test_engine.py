@@ -160,16 +160,16 @@ class TestSoftmaxCrossEntropy:
 class TestDropout:
     def test_rate_zero_identity(self, rng):
         x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-        out = E.dropout(x, 0.0, True, np.random.default_rng(0))
+        out = E.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_inference_identity(self, rng):
         x = Tensor(rng.normal(size=(4, 4)).astype(np.float32))
-        assert E.dropout(x, 0.9, False, None) is x
+        assert E.dropout(x, 0.9, None) is x
 
     def test_monte_carlo_zero_fraction(self):
         x = Tensor(np.ones(100_000))
-        out = E.dropout(x, 0.5, True, np.random.default_rng(1234))
+        out = E.dropout(x, 0.5, np.random.default_rng(1234))
         zero_frac = float((out.data == 0).mean())
         assert abs(zero_frac - 0.5) < 0.01
         survivors = out.data[out.data != 0]
@@ -177,7 +177,7 @@ class TestDropout:
 
     def test_gradient_matches_mask(self):
         x = Tensor(np.ones(64))
-        out = E.dropout(x, 0.25, True, np.random.default_rng(7))
+        out = E.dropout(x, 0.25, np.random.default_rng(7))
         grads = E.backward(E.sum_all(out))
         np.testing.assert_array_equal(grads[x], out.data)
 
@@ -388,8 +388,8 @@ class TestBroadcasting:
 class TestDeterminism:
     def test_dropout_same_seed_bit_identical(self, rng):
         x = Tensor(rng.normal(size=(8, 8)).astype(np.float32))
-        a = E.dropout(x, 0.3, True, np.random.default_rng(99))
-        b = E.dropout(x, 0.3, True, np.random.default_rng(99))
+        a = E.dropout(x, 0.3, np.random.default_rng(99))
+        b = E.dropout(x, 0.3, np.random.default_rng(99))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_forward_bit_identical(self, rng):

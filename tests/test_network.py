@@ -182,12 +182,12 @@ class TestForward:
     def test_dropout_only_in_training_mode(self):
         model = build_default_model((3, 32, 32), seed=3, conv_channels=(4, 4, 4, 4), dense_units=8)
         x = np.random.default_rng(0).random((3, 32, 32)).astype(np.float32)
-        inference1, _ = forward_with_trace(model, x, training=False)
-        inference2, _ = forward_with_trace(model, x, training=False)
+        inference1, _ = forward_with_trace(model, x)
+        inference2, _ = forward_with_trace(model, x)
         np.testing.assert_array_equal(inference1.data, inference2.data)
-        t1, _ = forward_with_trace(model, x, training=True, rng=np.random.default_rng(5))
-        t2, _ = forward_with_trace(model, x, training=True, rng=np.random.default_rng(5))
-        t3, _ = forward_with_trace(model, x, training=True, rng=np.random.default_rng(6))
+        t1, _ = forward_with_trace(model, x, rng=np.random.default_rng(5))
+        t2, _ = forward_with_trace(model, x, rng=np.random.default_rng(5))
+        t3, _ = forward_with_trace(model, x, rng=np.random.default_rng(6))
         np.testing.assert_array_equal(t1.data, t2.data)
         assert not np.array_equal(t1.data, t3.data)
 

@@ -31,7 +31,7 @@ def hold_score_at_one(monkeypatch):
     """Make the guided loss's score the constant 1 (a leaf, so no gradient
     reaches the relevance path), whatever the relevance is."""
     monkeypatch.setattr(training, "_score_graph",
-                        lambda rel, *args: E.const(np.ones((), dtype=rel.data.dtype), dtype=None))
+                        lambda rel, *args: E.Tensor(np.ones((), dtype=rel.data.dtype), dtype=None))
 
 
 def oracle_score(relevance, lesion, obj, variant="unnormalized", floor=1e-3):
