@@ -9,9 +9,13 @@ commands into a temporary directory of its own:
 
 * ``generate`` of a small 64x64 task (48 training, 24 validation samples);
 * plain and guided (penalization, p=1) ``train`` for two epochs, the
-  guided one also with the alpha2-beta1 rule and with the epsilon rule;
-* ``evaluate`` of both weight files, the guided one also with the
-  alpha2-beta1 rule;
+  guided one also with the alpha2-beta1 rule and with the epsilon rule,
+  and with no stabilizer (epsilon 0) under the default composite, whose
+  alpha1-beta0 conv rule then meets exact zero denominators (an all-zero
+  patch under a nonpositive bias), and under the epsilon rule;
+* ``evaluate`` of the plain and guided weight files, the guided one also
+  with the alpha2-beta1 rule, and of both epsilon-0 weight files under
+  the rule and the epsilon 0 they were trained with;
 * ``explain`` of two validation samples, one also with the epsilon rule;
 * ``retrieve`` at trace positions 0 (the input), 3, 7, 16 (past the
   flatten layer) and 18 (the logits), and at 7 with the cosine metric, with
@@ -57,6 +61,8 @@ CONFIGS = {
     "alpha2beta1.json": {"alpha": 2.0, "beta": 1.0},
     "guided_ab.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99,
                        "rule": "alphabeta", "alpha": 2, "beta": 1},
+    "guided_eps0.json": {"epochs": 2, "score_floor": 0.1, "beta2": 0.99, "epsilon": 0},
+    "eps0.json": {"epsilon": 0},
     "cosine.json": {"metric": "cosine"},
     "epsilon.json": {"rule": "epsilon"},
     "experiment1.json": {"epochs": 1},
@@ -74,10 +80,19 @@ COMMANDS = [
     ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided.json",
      "--seed", "12", "--loss", "penalization", "--power", "1", "--rule", "epsilon",
      "--out", "guided_eps"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided_eps0.json",
+     "--seed", "12", "--loss", "penalization", "--power", "1", "--out", "guided_eps0"],
+    ["train", "--data", "data/train.rgtd", "--val", "data/val.rgtd", "--config", "guided_eps0.json",
+     "--seed", "12", "--loss", "penalization", "--power", "1", "--rule", "epsilon",
+     "--out", "guided_eps0_eps"],
     ["evaluate", "--weights", "plain/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_plain"],
     ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd", "--out", "evaluate_guided"],
     ["evaluate", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
      "--config", "alpha2beta1.json", "--rule", "alphabeta", "--out", "evaluate_ab"],
+    ["evaluate", "--weights", "guided_eps0/weights.rgtw", "--data", "data/val.rgtd",
+     "--config", "eps0.json", "--out", "evaluate_eps0"],
+    ["evaluate", "--weights", "guided_eps0_eps/weights.rgtw", "--data", "data/val.rgtd",
+     "--config", "eps0.json", "--rule", "epsilon", "--out", "evaluate_eps0_eps"],
     ["explain", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
      "--sample-id", str(VAL), "--out", "explain0"],
     ["explain", "--weights", "guided/weights.rgtw", "--data", "data/val.rgtd",
@@ -114,7 +129,8 @@ COMMANDS = [
 
 SERVING = [argv for argv in COMMANDS if argv[0] in ("evaluate", "explain", "retrieve")]
 # what the serving commands read of the other commands' outputs
-SERVING_INPUTS = ["data/train.rgtd", "data/val.rgtd", "plain/weights.rgtw", "guided/weights.rgtw"]
+SERVING_INPUTS = ["data/train.rgtd", "data/val.rgtd", "plain/weights.rgtw", "guided/weights.rgtw",
+                  "guided_eps0/weights.rgtw", "guided_eps0_eps/weights.rgtw"]
 
 
 def run_tree(tree: str, work: str, commands=COMMANDS) -> None:

@@ -292,15 +292,16 @@ def load_dataset(path) -> list:
 
 
 def load_sample(path, sample_id: int) -> Optional[LabeledSample]:
-    """The first sample of a dataset file with `sample_id`, or None. Reads
-    only the id of each record before it; refuses the malformed files
-    `load_dataset` refuses, and a non-finite pixel of the sample it reads."""
+    """The sample of a dataset file with `sample_id`, or None. Reads every
+    record's id, then the one match; refuses the malformed files `load_dataset`
+    refuses, an id held twice, and a non-finite pixel of the sample it reads."""
     with open(path, "rb") as f:
         n, c, h, w = _read_header(f)
-        start, size = f.tell(), _record_size(c, h, w)
-        for i in range(n):
-            f.seek(start + i * size)
-            if struct.unpack("<I", _read_exact(f, 4, "sample id"))[0] == sample_id:
-                f.seek(start + i * size)
-                return _read_sample(f, c, h, w)
-    return None
+        fd, start, size = f.fileno(), f.tell(), _record_size(c, h, w)
+        ids = [struct.unpack("<I", os.pread(fd, 4, start + i * size))[0] for i in range(n)]
+        if sample_id not in ids:
+            return None
+        if ids.count(sample_id) > 1:
+            raise FormatError(f"dataset sample id {sample_id} appears more than once")
+        f.seek(start + ids.index(sample_id) * size)
+        return _read_sample(f, c, h, w)

@@ -21,10 +21,10 @@ exact only on bias-free networks.
 Each rule is written once, as the terms :func:`_rule_terms` builds for a
 layer: a term passes relevance r down as ``coef * rho(W)^T (r / denom)``
 times the layer input (Montavon et al., "Layer-Wise Relevance Propagation:
-An Overview", 2019). A conv is a dense layer over image patches: its terms
-act on the patch matrix the trace saves, with the kernel flattened, and
-:func:`_backshare` folds their share back to an image with col2im. Two
-walks run those terms:
+An Overview", 2019). Its ratio r / denom is formed once per rule step, with
+no masking pass when no denominator is zero. A conv is a dense layer over
+image patches: its terms act on the trace's patch matrix, and
+:func:`_backshare` folds their share back with col2im. Two walks run them:
 
 * Down: :func:`relevance_graph` adds the propagation to a traced forward
   graph, one node per conv or dense rule step with a hand-written backward.
@@ -160,7 +160,8 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
 
     The backward works in matrix form, one column per output position (a
     single column for dense), with the kernel flattened to one row per
-    output channel; its gradient is reshaped back to the kernel's. Per term, with s = r / denom:
+    output channel; its gradient is reshaped back to the kernel's. Per term,
+    with the value's s = r / denom (:func:`_safe_ratio`, formed once):
     ``g_s = w (coef g a)``, ``g_r = g_s / denom`` and
     ``g_z = -g_s s / denom`` plus the stabilizer's ``mean|z|`` coupling;
     then ``g_w = s (coef g a)^T + g_z x^T``, ``g_x = w^T g_z`` and
@@ -175,41 +176,37 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
     k, stride, padding = spec.kernel, spec.stride, spec.padding
     x = trace.caches[li] if conv else a
     fold = (lambda m: kernels.col2im(m, *a.data.shape, k, stride, padding)) if conv else None
-    c = _backshare(r.data, terms, fold)
-    out = Tensor(c * a.data, (r, a, x, weight, bias), dtype=None)
     rm = r.data.reshape(bias.data.shape[0], -1)
+    ratios = [_safe_ratio(rm, t.denom.reshape(rm.shape)) for t in terms]
+    c = _backshare([s for _, _, s in ratios], terms, fold)
+    out = Tensor(c * a.data, (r, a, x, weight, bias), dtype=None)
     xm = x.data.reshape(x.data.shape[0], -1)
     wm = weight.data.reshape(len(weight.data), -1)
 
     def bwd(g):
         ga = g * a.data
         gc = kernels.im2col(ga, k, stride, padding) if conv else ga.reshape(xm.shape)
-        g_r = g_x = g_b = 0
-        g_w = None
-        for t in terms:
-            gct = t.coef * gc
-            denom, z = t.denom.reshape(rm.shape), t.z.reshape(rm.shape)
-            nonzero = denom != 0
-            safe = np.where(nonzero, denom, 1)
-            s = np.where(nonzero, rm / safe, 0)
+        parts = []  # g_r, g_x, g_w, g_b of each term
+        for t, (nonzero, safe, s) in zip(terms, ratios):
+            gct = gc if t.coef == 1 else t.coef * gc
             g_s = t.w @ gct
-            g_r = g_r + np.where(nonzero, g_s / safe, 0)
-            g_z = np.where(nonzero, -g_s * s / safe, 0)
+            g_z = _masked(nonzero, -g_s * s / safe)
             if rules.epsilon > 0:  # d eps/dz_j = epsilon * sign(z_j) / N couples every element
-                direction = kernels.stable_sign(z) if t.sign == 0 else t.sign
-                g_z = g_z + float((g_z * direction).sum()) * rules.epsilon / z.size * np.sign(z)
-            g_x = g_x + t.w.T @ g_z
+                z = t.z.reshape(rm.shape)
+                along = (float(g_z.sum()) * t.sign if t.sign
+                         else float((g_z * kernels.stable_sign(z)).sum()))
+                g_z = g_z + along * rules.epsilon / z.size * np.sign(z)
             g_bt = g_z.sum(axis=1)
             if t.sign == 0 and not conv and not weight.parents:  # a dense leaf keeps rank-1 pairs
                 g_wt = engine.FactorPairs([s[:, 0], g_z[:, 0]], [gct[:, 0], xm[:, 0]])
-            else:
-                g_wt = s @ gct.T + g_z @ xm.T
+            else:  # (x g_z^T)^T order: the same product, faster at the conv shapes
+                g_wt = np.ascontiguousarray((gct @ s.T + xm @ g_z.T).T)
             if t.sign != 0:
                 keep_w = wm > 0 if t.sign > 0 else wm <= 0
                 keep_b = bias.data > 0 if t.sign > 0 else bias.data <= 0
                 g_wt, g_bt = g_wt * keep_w, g_bt * keep_b
-            g_w = g_wt if g_w is None else g_w + g_wt
-            g_b = g_b + g_bt
+            parts.append((_masked(nonzero, g_s / safe), t.w.T @ g_z, g_wt, g_bt))
+        g_r, g_x, g_w, g_b = (sum(p[1:], p[0]) for p in zip(*parts))  # from the first term on
         if conv:
             g_w = g_w.reshape(weight.data.shape)
         return g_r.reshape(r.data.shape), g * c, g_x.reshape(x.data.shape), g_w, g_b
@@ -227,9 +224,20 @@ def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = Non
     return RelevanceMap([r.data.copy() for r in rel], target_class)
 
 
-def _safe_ratio(r: np.ndarray, denom: np.ndarray) -> np.ndarray:
+def _safe_ratio(r: np.ndarray, denom: np.ndarray) -> tuple:
+    """``(nonzero, safe, r / safe)``: the mask of nonzero denominators, denom
+    with 1 for each zero, and the ratio with 0 for each. With no zero
+    denominator, nonzero is None and no masking pass runs (the same bits)."""
+    if denom.all():
+        return None, denom, r / denom
     nonzero = denom != 0
-    return np.where(nonzero, r / np.where(nonzero, denom, 1), 0)
+    safe = np.where(nonzero, denom, 1)
+    return nonzero, safe, np.where(nonzero, r / safe, 0)
+
+
+def _masked(nonzero, v: np.ndarray) -> np.ndarray:
+    """`v` with 0 where `nonzero` (from :func:`_safe_ratio`) is False."""
+    return v if nonzero is None else np.where(nonzero, v, 0)
 
 
 def relevance_stack(
@@ -268,15 +276,16 @@ def input_relevance(
     return relevance_stack(model, trace, len(model.layers), seeds, rules)[0]
 
 
-def _backshare(r, terms, fold=None):
-    """``sum(coef * w^T (r / denom))``: the rule at a conv or dense layer
-    for a relevance map, before the product with the layer input. For a
-    conv, `fold` is the col2im that takes the patch matrix back to
-    (C, H, W)."""
+def _backshare(ratios, terms, fold=None):
+    """``sum(coef * w^T s)``, given each term's ratio ``s = r / denom`` of a
+    relevance map r (:func:`_safe_ratio`): the rule at a conv or dense layer,
+    before the product with the layer input. For a conv, `fold` is the
+    col2im that takes the patch matrix back to (C, H, W)."""
     out = None
-    for t in terms:
-        share = t.w.T @ _safe_ratio(r.reshape(t.denom.shape), t.denom)
-        term = t.coef * (share if fold is None else fold(share))
+    for t, s in zip(terms, ratios):
+        share = t.w.T @ s.reshape(t.denom.shape)
+        share = share if fold is None else fold(share)
+        term = share if t.coef == 1 else t.coef * share
         out = term if out is None else out + term
     return out
 
@@ -448,7 +457,7 @@ def _apply_terms(x, terms, cols=slice(None)):
     for t in terms:
         term = t.w @ x
         denom = t.denom.reshape(term.shape[-2], -1)[:, cols]
-        term *= t.coef * _safe_ratio(np.ones((), dtype=term.dtype), denom)
+        term *= t.coef * _safe_ratio(np.ones((), dtype=term.dtype), denom)[2]
         out = term if out is None else out + term
     return out
 

@@ -101,7 +101,7 @@ def _check_masks(lesion_mask, object_mask, spatial):
             f"masks {lesion.shape}/{obj.shape} do not match relevance {spatial}"
         )
     for m in (lesion, obj):
-        if not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise ScoreError("masks must be binary")
     if not lesion.any():
         raise ScoreError("lesion mask is empty; exclude this sample upstream")

@@ -767,6 +767,9 @@ class TestErrorTable:
         # an atlas that holds one sample id twice
         ("retrieve", ["--weights", "{weights}", "--atlas", "{repeated}", "--query-id", "1000000",
                       "--layer", "3"], None, 2),
+        # a dataset that holds the sample id to explain twice
+        ("explain", ["--weights", "{weights}", "--data", "{repeated}", "--sample-id", "1000001"],
+         None, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
@@ -783,7 +786,8 @@ class TestErrorTable:
         if code == 3:  # the line names the tensor or the sample that holds the NaN
             assert re.search(r"weight tensor layer\d+\.weight |dataset sample 1000001 ", err)
         if str(paths["repeated"]) in argv:  # the line names the repeated id
-            assert "atlas sample id 1000001 appears more than once" in err
+            kind = "atlas" if command == "retrieve" else "dataset"
+            assert f"{kind} sample id 1000001 appears more than once" in err
 
     def test_out_naming_a_file(self, paths, tmp_path, capsys):
         """An --out that is a regular file is a path error: exit 2, one

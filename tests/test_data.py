@@ -212,7 +212,7 @@ class TestLoadSample:
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         samples = generate(SMALL, id_offset=1_000_000)
-        # a repeated id: the first record that carries it wins
+        # a repeated id, which load_sample refuses; the other ids stay readable
         samples.insert(5, LabeledSample(samples[9].image[:, ::-1], samples[9].object_mask,
                                         samples[9].lesion_mask, 1 - samples[9].label,
                                         samples[2].sample_id))
@@ -224,8 +224,15 @@ class TestLoadSample:
         dataset = load_dataset(path)
         ids = [s.sample_id for s in dataset]
         assert ids.count(ids[5]) == 2
-        for sid in (ids[0], ids[len(ids) // 2], ids[-1], ids[5]):
+        for sid in (ids[0], ids[len(ids) // 2], ids[-1], ids[6]):
             _same_sample(load_sample(path, sid), next(s for s in dataset if s.sample_id == sid))
+
+    def test_repeated_id_refused(self, path):
+        """A file that holds the id twice names it, whichever record comes
+        first, instead of reading one of them."""
+        sid = load_dataset(path)[5].sample_id
+        with pytest.raises(FormatError, match=f"^dataset sample id {sid} appears more than once$"):
+            load_sample(path, sid)
 
     def test_missing_id(self, path):
         assert load_sample(path, 424242) is None

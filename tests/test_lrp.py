@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from relguide import engine as E
+from relguide import lrp as lrp_module
 from relguide.engine import Tensor
 from relguide.errors import ConfigError, NumericalError
 from relguide.lrp import (
@@ -16,6 +17,7 @@ from relguide.lrp import (
     relevance_stack,
     relevance_transpose,
     render_heatmap,
+    _safe_ratio,
 )
 from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
 
@@ -488,6 +490,77 @@ class TestRuleStep:
             assert np.isfinite(E.grad_for(grads, p)).all()
         assert (E.grad_for(grads, model.params["layer0.weight"])[1] == 0).all()
         assert E.grad_for(grads, model.params["layer0.bias"])[1] == 0
+
+    @pytest.mark.parametrize("rules", [EPS0, AB10], ids=["eps0", "alpha1beta0"])
+    def test_zero_denominators_in_some_units(self, rng, rules, monkeypatch):
+        """With no stabilizer, a dead conv channel (zero weights and bias)
+        has zero denominators and the other channels have none: the masked
+        route runs, and the gradients still equal the primitive route's."""
+        model, x = random_conv_net(rng, depth=2, with_pool=True)
+        m64, x64 = model.astype(np.float64), x.astype(np.float64)
+        m64.params["layer0.weight"].data[1] = 0
+        m64.params["layer0.bias"].data[1] = 0
+        ratio, masks = lrp_module._safe_ratio, []
+
+        def spy(r, denom):
+            out = ratio(r, denom)
+            masks.append(out[0])  # None: no zero denominator
+            return out
+
+        monkeypatch.setattr(lrp_module, "_safe_ratio", spy)
+        _, trace = forward_with_trace(m64, x64)
+        probes = [rng.normal(size=t.data.shape) for t in trace.tensors]
+        got_loss, got_trace = _probed_loss(relevance_graph, m64, x64, probes, rules)
+        assert any(m is not None and m.any() for m in masks)  # some units zero, not all
+        want_loss, want_trace = _probed_loss(relevance_graph_reference, m64, x64, probes, rules)
+        assert got_loss.item() == pytest.approx(want_loss.item(), rel=1e-12)
+        got, want = E.backward(got_loss), E.backward(want_loss)
+        pairs = [(E.grad_for(got, p), E.grad_for(want, p)) for p in params_of(m64)]
+        pairs.append((got[got_trace.tensors[0]], want[want_trace.tensors[0]]))
+        for g, w in pairs:
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-8 * np.abs(w).max())
+
+    def test_cancelled_logit_passes_no_gradient(self, rng):
+        """A target logit that is exactly 0 by cancellation (epsilon rule, no
+        stabilizer) has a zero denominator while its share g_s is not 0, so
+        only the masked backward passes it no gradient, as the primitive
+        route does. All values are small dyadic numbers: exact in any order."""
+        layers = [LayerSpec("dense", units=3), LayerSpec("relu"), LayerSpec("dense", units=2)]
+        model = build_model(layers, (2,), seed=0).astype(np.float64)
+        model.params["layer0.weight"].data[:] = [[1, 0], [0, 1], [1, 1]]
+        model.params["layer2.weight"].data[:] = [[1, 1, 1], [2, -1, 0]]  # logits (6, 0)
+        for name in ("layer0.bias", "layer2.bias"):
+            model.params[name].data[:] = 0
+        x = np.array([1.0, 2.0])
+        _, trace = forward_with_trace(model, x)
+        assert trace.tensors[-1].data[1] == 0  # _probed_loss seeds class 1
+        probes = [rng.normal(size=t.data.shape) for t in trace.tensors]
+        got_loss, _ = _probed_loss(relevance_graph, model, x, probes, EPS0)
+        want_loss, _ = _probed_loss(relevance_graph_reference, model, x, probes, EPS0)
+        got, want = E.backward(got_loss), E.backward(want_loss)
+        for p in params_of(model):
+            np.testing.assert_allclose(E.grad_for(got, p), E.grad_for(want, p), rtol=1e-12, atol=0)
+
+
+class TestSafeRatio:
+    """``_safe_ratio`` skips the masking passes when no denominator is zero;
+    either way its ratio has the bits of the masked formula."""
+
+    @pytest.mark.parametrize("zeros", ["none", "zero", "negative_zero"])
+    @pytest.mark.parametrize("r_kind", ["map", "ones"])  # ones: the transposed walk's scale
+    def test_bits_of_masked_formula(self, rng, zeros, r_kind):
+        denom = rng.normal(size=(4, 50)).astype(np.float32)
+        if zeros != "none":
+            denom[1, ::3] = 0.0 if zeros == "zero" else -0.0
+        r = (rng.normal(size=denom.shape).astype(np.float32) if r_kind == "map"
+             else np.ones((), dtype=np.float64))
+        nz = denom != 0
+        want = np.where(nz, r / np.where(nz, denom, 1), 0)
+        nonzero, _, got = _safe_ratio(r, denom)
+        assert (nonzero is None) == (zeros == "none")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestNumericalGuard:

@@ -79,6 +79,28 @@ class TestLesionRelevanceScore:
             lesion_relevance_score(rel, np.zeros((2, 2), dtype=np.uint8),
                                    np.ones((2, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize("which", ["lesion", "object"])
+    @pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+    def test_non_binary_masks_refused(self, which, bad):
+        rel = np.ones((1, 3, 3), dtype=np.float32)
+        masks = {"lesion": np.ones((3, 3)), "object": np.ones((3, 3))}
+        masks[which][1, 2] = bad
+        with pytest.raises(ScoreError, match="masks must be binary"):
+            lesion_relevance_score(rel, masks["lesion"], masks["object"])
+        with pytest.raises(ScoreError, match="masks must be binary"):
+            _score_graph(Tensor(rel), masks["lesion"], masks["object"], "unnormalized", 1e-3)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.float32, np.float64])
+    def test_binary_masks_of_any_dtype_accepted(self, dtype):
+        rel = np.arange(9, dtype=np.float32).reshape(1, 3, 3)
+        lesion = np.zeros((3, 3), dtype=dtype)
+        lesion[0] = 1
+        obj = np.ones((3, 3), dtype=dtype)
+        want = rel[0, 0].sum() / rel.sum()
+        assert lesion_relevance_score(rel, lesion, obj) == pytest.approx(want)
+        graph = _score_graph(Tensor(rel), lesion, obj, "unnormalized", 1e-3)
+        assert float(graph.data) == pytest.approx(want)
+
     def test_all_outside_clamps_to_floor(self):
         rel = np.zeros((1, 4, 4), dtype=np.float32)
         rel[0, 0, 0] = 5.0  # outside the object entirely
