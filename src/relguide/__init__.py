@@ -15,7 +15,6 @@ from .network import (
     ActivationTrace,
     LayerSpec,
     Model,
-    build_default_model,
     build_model,
     embed,
     forward_with_trace,
@@ -42,7 +41,6 @@ __all__ = [
     "ActivationTrace",
     "LayerSpec",
     "Model",
-    "build_default_model",
     "build_model",
     "forward_with_trace",
     "load_weights",

@@ -249,7 +249,7 @@ def _check_input_shape(shape, model_shape) -> None:
 def _load_sets(args):
     train_set = load_dataset(args.data)
     _, h, w = train_set[0].image.shape
-    if h != w:  # augmentation rotates by 90 degrees, and weight files record one side
+    if h != w:  # augmentation rotates by 90 degrees, and weight files store no image size
         raise DimensionError(f"training images must be square, {args.data} has {h}x{w}")
     val_set = load_dataset(args.val) if args.val else train_set
     _check_input_shape(val_set[0].image.shape, train_set[0].image.shape)
@@ -263,6 +263,16 @@ def _check_run_config(cfg: dict, train_set, epochs=None) -> None:
     train_config_from(cfg, epochs)
     # experiment 1 has no power key: each of its rows sets its own
     loss_config_from(cfg, mode="penalization", power=cfg.get("power", 0.0))
+    _check_side(cfg, train_set)
+
+
+def _check_side(cfg: dict, train_set) -> None:
+    """A weight file records no image size: `load_weights` infers the side
+    from the first dense fan-in, which recovers only a multiple of 2^blocks."""
+    side, blocks = train_set[0].image.shape[1], len(cfg["conv_channels"])
+    if side % 2**blocks:
+        raise DimensionError(f"image side {side} must be a multiple of {2**blocks} for {blocks} "
+                             "conv blocks, or no command can read the weights")
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +308,7 @@ def cmd_train(args) -> int:
     model = model_from_config(cfg, train_set[0].image.shape, int(cfg["seed"]))
     loss_cfg = loss_config_from(cfg)
     train_cfg = train_config_from(cfg)
+    _check_side(cfg, train_set)
     out = _ensure_out(args)
     model, records = train(model, train_set, val_set, loss_cfg, train_cfg)
     weights_path = os.path.join(out, "weights.rgtw")

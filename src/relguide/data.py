@@ -234,6 +234,8 @@ def save_dataset(samples, path) -> None:
     if not samples:
         raise ValueError("refusing to write an empty dataset")
     c, h, w = samples[0].image.shape
+    for s in samples:
+        _check_record(s.sample_id, s.label, s.object_mask, s.lesion_mask)
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIII", DATASET_VERSION, len(samples), c, h, w))
@@ -273,19 +275,30 @@ def _read_header(f) -> tuple:
     return n, c, h, w
 
 
+def _check_record(sid, label, object_mask, lesion_mask) -> None:
+    """Refuse what the format does not allow: a label or a mask value other
+    than 0 or 1."""
+    if label not in (0, 1):
+        raise FormatError(f"dataset sample {sid} has label {label}; labels are 0 or 1")
+    if not all(((m == 0) | (m == 1)).all() for m in (object_mask, lesion_mask)):
+        raise FormatError(f"dataset sample {sid} has a mask value other than 0 or 1")
+
+
 def _read_sample(f, c, h, w) -> LabeledSample:
     sid, label = struct.unpack("<IB", _read_exact(f, 5, "sample header"))
     img = np.frombuffer(_read_exact(f, 4 * c * h * w, "image"), dtype="<f4").reshape(c, h, w).copy()
     obj = np.frombuffer(_read_exact(f, h * w, "object mask"), dtype="u1").reshape(h, w).copy()
     les = np.frombuffer(_read_exact(f, h * w, "lesion mask"), dtype="u1").reshape(h, w).copy()
+    _check_record(sid, label, obj, les)
     if not np.isfinite(img).all():
         raise NumericalError(f"dataset sample {sid} holds a non-finite pixel value")
     return LabeledSample(img, obj, les, int(label), int(sid))
 
 
 def load_dataset(path) -> list:
-    """Every sample of a dataset file. A malformed file is a FormatError; a
-    pixel that is NaN or infinite is a NumericalError naming its sample."""
+    """Every sample of a dataset file. A malformed file, or a label or mask
+    value other than 0 or 1, is a FormatError; a pixel that is NaN or
+    infinite is a NumericalError naming its sample."""
     with open(path, "rb") as f:
         n, c, h, w = _read_header(f)
         return [_read_sample(f, c, h, w) for _ in range(n)]
@@ -294,7 +307,8 @@ def load_dataset(path) -> list:
 def load_sample(path, sample_id: int) -> Optional[LabeledSample]:
     """The sample of a dataset file with `sample_id`, or None. Reads every
     record's id, then the one match; refuses the malformed files `load_dataset`
-    refuses, an id held twice, and a non-finite pixel of the sample it reads."""
+    refuses, an id held twice, and a label, mask or pixel of the sample it
+    reads that `load_dataset` refuses."""
     with open(path, "rb") as f:
         n, c, h, w = _read_header(f)
         fd, start, size = f.fileno(), f.tell(), _record_size(c, h, w)

@@ -31,7 +31,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError
 
 
 class Tensor:
@@ -177,17 +176,9 @@ def _outer(u: np.ndarray, v: np.ndarray, leaf: bool):
     return FactorPairs([u], [v]) if leaf else np.outer(u, v)
 
 
-def _check_matmul(name: str, ad: np.ndarray, bd: np.ndarray, inner: int) -> None:
-    if ad.ndim != 2 or bd.ndim not in (1, 2):
-        raise DimensionError(f"{name} supports 2-D and 1/2-D operands, got {ad.shape}, {bd.shape}")
-    if ad.shape[inner] != bd.shape[0]:
-        raise DimensionError(f"{name} inner dims differ: {ad.shape}, {bd.shape}")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D @ 2-D or 2-D @ 1-D matrix product."""
     ad, bd = a.data, b.data
-    _check_matmul("matmul", ad, bd, 1)
     out = Tensor(ad @ bd, (a, b), dtype=None)
     if bd.ndim == 1:
         leaf = not a.parents
@@ -199,14 +190,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """y = W @ x + b for a 1-D input."""
-    if x.data.ndim != 1 or weight.data.ndim != 2:
-        raise DimensionError(f"dense expects vector input, got {x.data.shape}")
-    if weight.data.shape[1] != x.data.shape[0]:
-        raise DimensionError(
-            f"dense weight {weight.data.shape} does not match input {x.data.shape}"
-        )
-    if bias.data.shape != (weight.data.shape[0],):
-        raise DimensionError(f"dense bias {bias.data.shape} does not match {weight.data.shape}")
     return add(matmul(weight, x), bias)
 
 
@@ -224,35 +207,17 @@ def im2col_op(x: Tensor, k: int, stride: int, padding: int) -> Tensor:
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0):
     """Cross-correlation conv; returns (out, cols), the patch-matrix node
     that relevance propagation reads, as maxpool2d returns its argmax."""
-    if x.data.ndim != 3 or kernel.data.ndim != 4:
-        raise DimensionError(
-            f"conv2d expects (C,H,W) input and (Co,Ci,k,k) kernel, got {x.data.shape}, {kernel.data.shape}"
-        )
-    c_out, c_in, kh, kw = kernel.data.shape
-    if kh != kw:
-        raise DimensionError("conv2d kernels must be square")
-    c, h, w = x.data.shape
-    if c != c_in:
-        raise DimensionError(f"kernel expects {c_in} input channels, input has {c}")
-    if stride < 1:
-        raise DimensionError("stride must be >= 1")
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise DimensionError("kernel larger than padded input")
-    if bias.data.shape != (c_out,):
-        raise DimensionError(f"conv bias {bias.data.shape} does not match {c_out} channels")
-    ho = kernels.conv_out_size(h, kh, stride, padding)
-    wo = kernels.conv_out_size(w, kw, stride, padding)
-    cols = im2col_op(x, kh, stride, padding)
-    zmat = add(matmul(reshape(kernel, (c_out, c_in * kh * kw)), cols), reshape(bias, (c_out, 1)))
-    return reshape(zmat, (c_out, ho, wo)), cols
+    c_out, _, k, _ = kernel.data.shape
+    cols = im2col_op(x, k, stride, padding)
+    zmat = add(matmul(reshape(kernel, (c_out, -1)), cols), reshape(bias, (c_out, 1)))
+    out_hw = (kernels.conv_out_size(n, k, stride, padding) for n in x.data.shape[1:])
+    return reshape(zmat, (c_out, *out_hw)), cols
 
 
 def maxpool2d(x: Tensor, window: int, stride: int):
     """Max pooling; returns (out, idx), the argmax index of each window that
     routes both the gradient and the winner-take-all relevance."""
-    c, h, w = x.data.shape
-    if window > h or window > w:
-        raise DimensionError(f"pool window {window} exceeds input {x.data.shape}")
+    h, w = x.data.shape[1:]
     data, idx = kernels.maxpool_forward(x.data, window, stride)
     out = Tensor(data, (x,), dtype=None)
     out.bwd = lambda g: (kernels.pool_scatter(g, idx, h, w, window, stride),)
@@ -273,8 +238,6 @@ def pool_route(r: Tensor, idx: np.ndarray, in_hw, window: int, stride: int) -> T
 
 def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout drawn from `rng`; the identity when `rng` is None."""
-    if not 0 <= rate < 1:
-        raise ValueError(f"dropout rate must be in [0,1), got {rate}")
     if rng is None or rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
@@ -292,8 +255,6 @@ def dropout(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tenso
 def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
     """-log softmax(logits)[label], max-subtraction stabilized."""
     k = logits.data.shape[0]
-    if logits.data.ndim != 1:
-        raise DimensionError("softmax_cross_entropy expects a 1-D logit vector")
     if not 0 <= label < k:
         raise ValueError(f"label {label} out of range for {k} classes")
     m = logits.data.max()

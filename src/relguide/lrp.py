@@ -217,8 +217,6 @@ def _rule_step(model, trace, li, r: Tensor, rules) -> Tensor:
 
 def lrp(model: Model, x, target_class: int, rules: Optional[LRPRuleConfig] = None) -> RelevanceMap:
     """Full relevance map for one input, propagated from `target_class`."""
-    if not 0 <= target_class < model.n_classes:
-        raise ValueError(f"target class {target_class} out of range")
     _, trace = forward_with_trace(model, x)
     rel = relevance_graph(model, trace, target_class, rules)
     return RelevanceMap([r.data.copy() for r in rel], target_class)

@@ -86,29 +86,23 @@ class ActivationTrace:
 
 def infer_shapes(layers, input_shape) -> list:
     """Propagate shapes through the spec list; raises ConfigError on any
-    incompatibility. Returns the shape after every layer (input first)."""
+    incompatibility. Returns the shape after every layer (input first).
+    This is the one check of layer shapes: the engine ops trust it."""
     shapes = [tuple(input_shape)]
     cur = tuple(input_shape)
     for li, spec in enumerate(layers):
-        if spec.kind == "conv":
+        if spec.kind in ("conv", "maxpool"):
             if len(cur) != 3:
-                raise ConfigError(f"layer {li}: conv needs (C,H,W) input, has {cur}")
-            c, h, w = cur
-            k, s, p = spec.kernel, spec.stride, spec.padding
-            if k > h + 2 * p or k > w + 2 * p:
-                raise ConfigError(f"layer {li}: kernel {k} exceeds padded input {cur}")
-            cur = (spec.channels, kernels.conv_out_size(h, k, s, p), kernels.conv_out_size(w, k, s, p))
-        elif spec.kind == "maxpool":
-            c, h, w = cur
-            if spec.window > h or spec.window > w:
-                raise ConfigError(f"layer {li}: pool window {spec.window} exceeds input {cur}")
-            cur = (
-                c,
-                (h - spec.window) // spec.stride + 1,
-                (w - spec.window) // spec.stride + 1,
-            )
-            if cur[1] < 1 or cur[2] < 1:
-                raise ConfigError(f"layer {li}: input too small for pooling, shape {cur}")
+                raise ConfigError(f"layer {li}: {spec.kind} needs (C,H,W) input, has {cur}")
+            conv = spec.kind == "conv"
+            c, k, p = (spec.channels, spec.kernel, spec.padding) if conv else (cur[0], spec.window, 0)
+            s = spec.stride
+            if not (k >= 1 and s >= 1 and p >= 0):
+                raise ConfigError(f"layer {li}: {spec.kind} needs window and stride >= 1 and "
+                                  f"padding >= 0, has {k}, {s}, {p}")
+            if k > min(cur[1:]) + 2 * p:
+                raise ConfigError(f"layer {li}: {spec.kind} window {k} exceeds padded input {cur}")
+            cur = (c, *(kernels.conv_out_size(n, k, s, p) for n in cur[1:]))
         elif spec.kind == "flatten":
             cur = (int(np.prod(cur)),)
         elif spec.kind == "dense":
@@ -177,18 +171,6 @@ def init_params(layers, input_shape, seed) -> dict:
 def build_model(layers, input_shape, seed=0) -> Model:
     """A model with fresh parameters."""
     return Model(layers, init_params(layers, input_shape, seed), tuple(input_shape))
-
-
-def build_default_model(
-    input_shape=(3, 64, 64),
-    seed=0,
-    conv_channels=(16, 32, 64, 128),
-    dense_units=256,
-    n_classes=2,
-    dropout_rate=0.25,
-) -> Model:
-    layers = default_layers(conv_channels, dense_units, n_classes, dropout_rate)
-    return build_model(layers, input_shape, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,6 @@ def matmul_t(a, b):
     layout: no transposed copy, and `a`'s gradient comes in `a`'s shape (as
     factor pairs when `a` is a leaf and `b` a vector, like `engine.matmul`)."""
     ad, bd = a.data, b.data
-    E._check_matmul("matmul_t", ad, bd, 0)
     if bd.ndim == 1:
         out = Tensor(bd @ ad, (a, b), dtype=None)
         leaf = not a.parents

@@ -18,7 +18,7 @@ from relguide.bilrp import (
 )
 from relguide.errors import ConfigError
 from relguide.lrp import LRPRuleConfig, relevance_transpose
-from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
+from relguide.network import LayerSpec, build_model, default_layers, forward_with_trace
 
 from helpers import bilrp_reference, random_conv_net
 
@@ -205,7 +205,7 @@ class TestUnitRelevanceRows:
     def test_rows_equal_one_pass_over_all_patches(self, rng, rules):
         """One transposed pass per grid row gives the bits of one pass over
         all g*g patch tangents."""
-        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        model = build_model(default_layers((4, 8, 8, 8), 8), (3, 32, 32), 2)
         x = rng.random((3, 32, 32)).astype(np.float32)
         _, trace = forward_with_trace(model, x)
         grid = 8
@@ -223,7 +223,7 @@ class TestUnitRelevanceRows:
     def test_rule_terms_computed_once_per_call(self, rng, monkeypatch):
         """The grid rows share one computation of each layer's rule terms,
         and sharing them leaves the bytes as they are."""
-        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        model = build_model(default_layers((4, 8, 8, 8), 8), (3, 32, 32), 2)
         x = rng.random((3, 32, 32)).astype(np.float32)
         _, trace = forward_with_trace(model, x)
         rules = LRPRuleConfig.uniform("alphabeta", alpha=2.0, beta=1.0)

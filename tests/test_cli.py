@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, manifests, exit codes, and the
 recomputation contracts between printed values and written files."""
 
+import inspect
 import json
 import math
 import os
@@ -18,14 +19,21 @@ from relguide.data import GeneratorConfig, LabeledSample, generate, load_dataset
 from relguide.lrp import LRPRuleConfig, input_relevance, read_heatmap_csv, render_heatmap
 from relguide.errors import ConfigError, FormatError, UsageError
 from relguide.network import (
-    build_default_model,
+    build_model,
+    default_layers,
     forward_with_trace,
     load_weights,
     read_weight_tensors,
     save_weights,
 )
 from relguide.bilrp import similarity
-from relguide.training import evaluate, lesion_relevance_score, read_metrics_csv
+from relguide.training import (
+    LossConfig,
+    TrainConfig,
+    evaluate,
+    lesion_relevance_score,
+    read_metrics_csv,
+)
 
 
 def run_cli(*argv):
@@ -460,6 +468,25 @@ class TestDocumentedDefaults:
             assert source["texture_contrast"] == 0.35
             assert source["noise_sigma"] == 0.05
 
+    def test_defaults_match_the_library(self):
+        """Each CLI default equals its library twin, so a command and a
+        library call that leave a setting out use the same value."""
+        layers = {k: p.default for k, p in inspect.signature(default_layers).parameters.items()}
+        loss = {("loss" if k == "mode" else k): v for k, v in vars(LossConfig()).items() if k != "rules"}
+        twins = {**vars(TrainConfig()), **loss, **vars(LRPRuleConfig()), **vars(GeneratorConfig()),
+                 **layers, "conv_channels": list(layers["conv_channels"])}
+        runner_choices = {"epochs", "score_floor", "beta2"}  # pinned above
+        pinned = set()
+        for command, defaults in DEFAULTS.items():
+            for key, value in defaults.items():
+                if key in twins and not (key in runner_choices and command.startswith("experiment")):
+                    assert value == twins[key], (command, key)
+                    pinned.add(key)
+            if "rule" in defaults:  # null: the library's default composite
+                assert cli.rules_from_config(defaults) == LRPRuleConfig(), command
+        # the library settings no command exposes as a key
+        assert set(twins) - pinned == {"seed", "dense_rule", "conv_rule", "n_classes"}
+
     def test_readme_states_these_values(self):
         text = README.read_text()
         assert "`epochs=6` (experiment 1),\n`score_floor=0.1` and `beta2=0.99`" in text
@@ -679,13 +706,22 @@ class TestErrorTable:
         repeated_set = load_dataset(data / "val.rgtd")
         repeated_set[2].sample_id = repeated_set[1].sample_id  # the query's id stays unique
         save_dataset(repeated_set, root / "repeated.rgtd")
+        # the second record with label 7, or with one lesion mask byte 2
+        blob = (data / "val.rgtd").read_bytes()
+        size = (len(blob) - 24) // len(nan_set)  # bytes per record, after the 24-byte header
+        for name, offset, value in (("label", 24 + size + 4, 7), ("mask", 24 + 2 * size - 1, 2)):
+            (root / f"bad_{name}.rgtd").write_bytes(blob[:offset] + bytes([value]) + blob[offset + 1:])
+        # a side that four pooling halvings do not divide
+        save_dataset(generate(GeneratorConfig(height=36, width=36, samples_per_class=1)),
+                     root / "side36.rgtd")
         (root / "a_directory").mkdir()
         return {"train": data / "train.rgtd", "val": data / "val.rgtd", "small": root / "small.rgtd",
                 "weights": workspace / "run" / "weights.rgtw", "missing": root / "missing.rgtd",
                 "corrupt": root / "corrupt.rgtd", "corrupt_weights": root / "corrupt.rgtw",
                 "wide": root / "wide.rgtd", "nan_weights": root / "nan.rgtw",
                 "nan": root / "nan.rgtd", "repeated": root / "repeated.rgtd",
-                "dir": root / "a_directory"}
+                "bad_label": root / "bad_label.rgtd", "bad_mask": root / "bad_mask.rgtd",
+                "side36": root / "side36.rgtd", "dir": root / "a_directory"}
 
     TRAIN = ["--data", "{train}", "--val", "{val}", "--seed", "1"]
     SERVE = ["--weights", "{weights}", "--data", "{val}"]
@@ -770,6 +806,18 @@ class TestErrorTable:
         # a dataset that holds the sample id to explain twice
         ("explain", ["--weights", "{weights}", "--data", "{repeated}", "--sample-id", "1000001"],
          None, 2),
+        # a record whose label or mask byte is not 0 or 1
+        *(row for bad in ("{bad_label}", "{bad_mask}") for row in (
+            ("evaluate", ["--weights", "{weights}", "--data", bad], None, 2),
+            ("explain", ["--weights", "{weights}", "--data", bad, "--sample-id", "1000001"], None, 2),
+            ("retrieve", ["--weights", "{weights}", "--atlas", bad, "--query-id", "1000000",
+                          "--layer", "3"], None, 2),
+            ("train", ["--data", bad, "--seed", "1"], None, 2),
+        )),
+        # a side whose weights no command could read: 36 over four pooling halvings
+        ("train", ["--data", "{side36}", "--seed", "1"], {"conv_channels": [4, 4, 4, 4]}, 2),
+        ("experiment1", ["--data", "{side36}", "--seed", "1"], {"conv_channels": [4, 4, 4, 4]}, 2),
+        ("experiment2", ["--data", "{side36}", "--seed", "1"], {"conv_channels": [4, 4, 4, 4]}, 2),
     ]
 
     @pytest.mark.parametrize("command, argv, config, code", ROWS,
@@ -788,6 +836,8 @@ class TestErrorTable:
         if str(paths["repeated"]) in argv:  # the line names the repeated id
             kind = "atlas" if command == "retrieve" else "dataset"
             assert f"{kind} sample id 1000001 appears more than once" in err
+        if {str(paths["bad_label"]), str(paths["bad_mask"])} & set(argv):  # it names the record
+            assert "dataset sample 1000001 has " in err
 
     def test_out_naming_a_file(self, paths, tmp_path, capsys):
         """An --out that is a regular file is a path error: exit 2, one
@@ -867,8 +917,7 @@ class TestCorruptHeaders:
 
     @pytest.mark.parametrize("n_classes", [1, 3])
     def test_weights_without_two_outputs(self, workspace, tmp_path, capsys, n_classes):
-        model = build_default_model((3, 32, 32), seed=1, conv_channels=(4, 4), dense_units=8,
-                                    n_classes=n_classes)
+        model = build_model(default_layers((4, 4), 8, n_classes=n_classes), (3, 32, 32), 1)
         path = tmp_path / "bad.rgtw"
         save_weights(model, path)
         with pytest.raises(FormatError, match=f"{n_classes} outputs"):

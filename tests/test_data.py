@@ -200,6 +200,41 @@ class TestPersistence:
         assert n == len(samples) == len(load_dataset(p))
         assert (c, h, w) == samples[0].image.shape
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", 2), ("label", -1), ("object_mask", 2), ("lesion_mask", 255), ("lesion_mask", 0.5),
+    ])
+    def test_writer_refuses_what_the_format_does_not_allow(self, tmp_path, field, value):
+        samples = generate(SMALL)
+        if field == "label":
+            samples[3].label = value
+        else:
+            mask = getattr(samples[3], field).astype(np.float64)
+            mask[4, 6] = value
+            setattr(samples[3], field, mask)
+        p = tmp_path / "d.rgtd"
+        with pytest.raises(FormatError, match=f"^dataset sample {samples[3].sample_id} has "):
+            save_dataset(samples, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("part, value", [("label", 7), ("label", 2), ("object_mask", 2),
+                                             ("lesion_mask", 255)])
+    def test_reader_refuses_what_the_format_does_not_allow(self, tmp_path, part, value):
+        samples = generate(SMALL)
+        p = tmp_path / "d.rgtd"
+        save_dataset(samples, p)
+        blob = bytearray(p.read_bytes())
+        size = (len(blob) - 24) // len(samples)  # bytes per record, after the 24-byte header
+        offset = {"label": 4, "object_mask": size - 2 * 64 * 64, "lesion_mask": size - 1}[part]
+        blob[24 + 3 * size + offset] = value
+        p.write_bytes(bytes(blob))
+        sid = samples[3].sample_id
+        message = f"^dataset sample {sid} has " + ("label" if part == "label" else "a mask value")
+        with pytest.raises(FormatError, match=message):
+            load_dataset(p)
+        with pytest.raises(FormatError, match=message):
+            load_sample(p, sid)
+        _same_sample(load_sample(p, samples[0].sample_id), samples[0])
+
 
 def _same_sample(a, b):
     assert (a.label, a.sample_id) == (b.label, b.sample_id)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from relguide import engine as E
 from relguide.engine import Tensor
-from relguide.errors import DimensionError
 from relguide.lrp import LRPRuleConfig, relevance_graph
 from relguide.network import Model, forward_with_trace
 
@@ -56,12 +55,6 @@ class TestConv2d:
             b = rng.normal(size=3).astype(np.float32)
             out = E.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, padding)[0]
             np.testing.assert_allclose(out.data, naive_conv2d(x, w, b, stride, padding), rtol=1e-4, atol=1e-5)
-
-    def test_channel_mismatch(self):
-        x = Tensor(np.zeros((2, 4, 4)))
-        w = Tensor(np.zeros((1, 3, 3, 3)))
-        with pytest.raises(DimensionError):
-            E.conv2d(x, w, Tensor(np.zeros(1)))
 
 
 class TestRelu:
@@ -121,10 +114,6 @@ class TestDense:
         b = np.array([0.5, -0.5], dtype=np.float32)
         out = E.dense(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))), Tensor(b))
         np.testing.assert_array_equal(out.data, b)
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            E.dense(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))), Tensor(np.zeros(2)))
 
 
 class TestSoftmaxCrossEntropy:

@@ -19,7 +19,7 @@ from relguide.lrp import (
     render_heatmap,
     _safe_ratio,
 )
-from relguide.network import LayerSpec, build_default_model, build_model, forward_with_trace
+from relguide.network import LayerSpec, build_model, default_layers, forward_with_trace
 
 from helpers import (
     check_gradients,
@@ -352,7 +352,7 @@ class TestTranspose:
     def test_empty_and_all_zero_stacks(self, rng):
         """No tangents give an empty stack shaped like the trace entry, and
         all-zero tangents give +0.0 without sign bits."""
-        model = build_default_model((3, 32, 32), seed=2, conv_channels=(4, 8, 8, 8), dense_units=8)
+        model = build_model(default_layers((4, 8, 8, 8), 8), (3, 32, 32), 2)
         x = rng.random((3, 32, 32)).astype(np.float32) - 0.5
         dense, v = random_dense_net(rng, widths=[5, 4])
         for net, inp, starts in ((model, x, (0, 3, 7, len(model.layers))), (dense, v, (0, 2, 4))):

@@ -13,7 +13,6 @@ from relguide.network import (
     LayerSpec,
     Model,
     build_model,
-    build_default_model,
     default_layers,
     forward_with_trace,
     infer_shapes,
@@ -28,7 +27,7 @@ from helpers import naive_conv2d, naive_maxpool, random_conv_net
 
 class TestBuildDefaultModel:
     def test_final_dense_fan_in(self):
-        model = build_default_model((3, 64, 64), seed=0)
+        model = build_model(default_layers(), (3, 64, 64), 0)
         shapes = infer_shapes(model.layers, model.input_shape)
         flat = [s for s in shapes if len(s) == 1]
         assert flat[0] == (128 * 4 * 4,)
@@ -39,14 +38,14 @@ class TestBuildDefaultModel:
         assert dense_weights[0].data.shape == (256, 2048)
 
     def test_same_seed_bit_identical(self):
-        a = build_default_model((3, 64, 64), seed=42)
-        b = build_default_model((3, 64, 64), seed=42)
+        a = build_model(default_layers(), (3, 64, 64), 42)
+        b = build_model(default_layers(), (3, 64, 64), 42)
         for name in a.param_names():
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
     def test_different_seed_differs(self):
-        a = build_default_model((3, 64, 64), seed=1)
-        b = build_default_model((3, 64, 64), seed=2)
+        a = build_model(default_layers(), (3, 64, 64), 1)
+        b = build_model(default_layers(), (3, 64, 64), 2)
         assert any(
             not np.array_equal(a.params[n].data, b.params[n].data)
             for n in a.param_names() if n.endswith(".weight")
@@ -54,10 +53,10 @@ class TestBuildDefaultModel:
 
     def test_too_small_input_rejected(self):
         with pytest.raises(ConfigError):
-            build_default_model((3, 8, 8), seed=0)
+            build_model(default_layers(), (3, 8, 8), 0)
 
     def test_init_draws_unchanged(self):
-        model = build_default_model((3, 32, 32), seed=9, conv_channels=(4, 6), dense_units=16)
+        model = build_model(default_layers((4, 6), 16), (3, 32, 32), 9)
         digest = hashlib.sha256()
         for name in model.param_names():
             digest.update(name.encode())
@@ -82,17 +81,40 @@ class TestBuildDefaultModel:
             assert model.astype(np.float64).n_classes == units
             model.layers.append(LayerSpec("relu"))
             assert model.n_classes == units
-        model = build_default_model((3, 16, 16), conv_channels=(4,), dense_units=8, n_classes=3)
+        model = build_model(default_layers((4,), 8, n_classes=3), (3, 16, 16))
         assert model.n_classes == 3
 
     def test_layer_count(self):
-        model = build_default_model((3, 64, 64), seed=0)
+        model = build_model(default_layers(), (3, 64, 64), 0)
         assert len(model.layers) == 18
+
+
+class TestInferShapes:
+    """The one check of layer shapes: the engine ops do not check again."""
+
+    @pytest.mark.parametrize("layers", [
+        [LayerSpec("conv", channels=2, kernel=3, stride=0)],
+        [LayerSpec("maxpool", window=2, stride=0)],
+        [LayerSpec("flatten"), LayerSpec("maxpool", window=2, stride=2)],
+        [LayerSpec("maxpool", window=0, stride=1)],
+        [LayerSpec("conv", channels=2, kernel=0)],
+        [LayerSpec("conv", channels=2, kernel=3, padding=-1)],
+    ], ids=["conv-stride-0", "pool-stride-0", "pool-after-flatten", "pool-window-0",
+            "conv-kernel-0", "conv-padding-negative"])
+    def test_refused_as_config_error(self, layers):
+        with pytest.raises(ConfigError, match=f"^layer {len(layers) - 1}: "):
+            infer_shapes(layers, (3, 8, 8))
+        with pytest.raises(ConfigError):
+            build_model(layers, (3, 8, 8))
+
+    def test_pool_ignores_padding(self):
+        layers = [LayerSpec("maxpool", window=2, stride=2, padding=1)]
+        assert infer_shapes(layers, (3, 8, 6)) == [(3, 8, 6), (3, 4, 3)]
 
 
 class TestForward:
     def test_zero_input_zero_biases_gives_last_bias(self):
-        model = build_default_model((3, 32, 32), seed=0, conv_channels=(4, 4, 4, 4), dense_units=8)
+        model = build_model(default_layers((4, 4, 4, 4), 8), (3, 32, 32), 0)
         last_dense = max(
             int(n.split(".")[0][5:]) for n in model.param_names() if n.endswith(".bias")
         )
@@ -139,7 +161,7 @@ class TestForward:
         (and s caches) of the full trace, bit for bit, and the entry at s
         as its output; a position outside 0..len(layers) is refused before
         any layer runs."""
-        model = build_default_model((3, 32, 32), seed=4, conv_channels=(4, 4, 4, 4), dense_units=8)
+        model = build_model(default_layers((4, 4, 4, 4), 8), (3, 32, 32), 4)
         x = rng.random((3, 32, 32)).astype(np.float32)
         n = len(model.layers)
         _, full = forward_with_trace(model, x)
@@ -180,7 +202,7 @@ class TestForward:
             forward_with_trace(model, np.zeros((1, 3, 3), dtype=np.float32))
 
     def test_dropout_only_in_training_mode(self):
-        model = build_default_model((3, 32, 32), seed=3, conv_channels=(4, 4, 4, 4), dense_units=8)
+        model = build_model(default_layers((4, 4, 4, 4), 8), (3, 32, 32), 3)
         x = np.random.default_rng(0).random((3, 32, 32)).astype(np.float32)
         inference1, _ = forward_with_trace(model, x)
         inference2, _ = forward_with_trace(model, x)
@@ -205,7 +227,7 @@ class TestWeightPersistence:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_template_free_load_of_default_family(self, tmp_path):
-        model = build_default_model((3, 32, 32), seed=9, conv_channels=(4, 6, 8, 10), dense_units=16)
+        model = build_model(default_layers((4, 6, 8, 10), 16), (3, 32, 32), 9)
         path = tmp_path / "w.rgtw"
         save_weights(model, path)
         loaded = load_weights(path)
@@ -214,7 +236,7 @@ class TestWeightPersistence:
             np.testing.assert_array_equal(loaded.params[name].data, model.params[name].data)
 
     def test_template_free_load_draws_nothing(self, tmp_path, monkeypatch):
-        model = build_default_model((3, 32, 32), seed=9, conv_channels=(4, 6), dense_units=16)
+        model = build_model(default_layers((4, 6), 16), (3, 32, 32), 9)
         path = tmp_path / "w.rgtw"
         save_weights(model, path)
 
@@ -232,8 +254,8 @@ class TestWeightPersistence:
 
     def test_template_dims_checked(self, tmp_path):
         path = tmp_path / "w.rgtw"
-        save_weights(build_default_model((3, 32, 32), seed=1, conv_channels=(4, 6), dense_units=16), path)
-        other = build_default_model((3, 32, 32), seed=1, conv_channels=(4, 6), dense_units=8)
+        save_weights(build_model(default_layers((4, 6), 16), (3, 32, 32), 1), path)
+        other = build_model(default_layers((4, 6), 8), (3, 32, 32), 1)
         with pytest.raises(FormatError, match=r"layer11.weight has dims \(2, 16\), expected \(2, 8\)"):
             load_weights(path, template=other)
 

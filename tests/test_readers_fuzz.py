@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from relguide.atlas import AtlasIndex, load_index, save_index
 from relguide.data import GeneratorConfig, generate, load_dataset, load_sample, save_dataset
 from relguide.errors import FormatError, NumericalError
-from relguide.network import build_default_model, load_weights, save_weights
+from relguide.network import build_model, default_layers, load_weights, save_weights
 
 U32_MAX = 2**32 - 1
 
@@ -23,8 +23,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     save_dataset(generate(GeneratorConfig(height=16, width=16, samples_per_class=1, seed=3)),
                  root / "a.rgtd")
-    save_weights(build_default_model((3, 16, 16), seed=1, conv_channels=(2, 2), dense_units=4),
-                 root / "a.rgtw")
+    save_weights(build_model(default_layers((2, 2), 4), (3, 16, 16), 1), root / "a.rgtw")
     save_index(AtlasIndex(4, np.ones((3, 5), dtype=np.float32), np.arange(3, dtype=np.uint32),
                           np.zeros(3, dtype=np.uint8)), root / "a.rgta")
     readers = {  # name: (file extension, reader)
